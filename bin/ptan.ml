@@ -290,7 +290,7 @@ let cmd_profile files budget timeout_ms jobs trace_out top =
       match res with
       | Ok r ->
           Fmt.pr "== %s ==@.%d IG nodes, %d body passes, %d sharing hits@." file
-            r.Pointsto.Analysis.graph.Pointsto.Invocation_graph.n_nodes
+            (Pointsto.Invocation_graph.n_nodes r.Pointsto.Analysis.graph)
             r.Pointsto.Analysis.bodies_analyzed r.Pointsto.Analysis.share_hits;
           Option.iter
             (fun d ->

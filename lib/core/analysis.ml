@@ -37,7 +37,7 @@ type result = {
   summaries : Engine.summaries;
       (** per-(function, input) summaries recorded during the run when
           [record_summaries] was set (empty otherwise); what {!Persist}
-          writes into the v3 summary section for incremental
+          writes into the summary section for incremental
           re-analysis *)
 }
 
@@ -90,12 +90,17 @@ let checkpoint_of (ctx : Engine.ctx) (graph : Ig.t) : ci_seed =
     in
     Hashtbl.replace slots name (Pts.merge_state cur_i di, Pts.merge_state cur_o dm)
   in
-  Hashtbl.iter
-    (fun name by_hash ->
-      Hashtbl.iter
-        (fun _h entries -> List.iter (fun (i, o) -> note name (Some i) (Some o)) entries)
-        by_hash)
-    ctx.Engine.share_memo;
+  (* completed evaluations enter as §6-memo facts, which exist only under sharing *)
+  if ctx.Engine.opts.Options.share_contexts then
+    Hashtbl.iter
+      (fun name by_hash ->
+        Hashtbl.iter
+          (fun _h entries ->
+            List.iter
+              (fun e -> note name (Some e.Engine.se_in) (Some e.Engine.se_out))
+              entries)
+          by_hash)
+      ctx.Engine.summaries;
   Ig.fold
     (fun () node -> note node.Ig.func node.Ig.stored_input node.Ig.stored_output)
     () graph;
@@ -173,7 +178,8 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
     bodies_analyzed = ctx.Engine.bodies_analyzed;
     metrics = Metrics.snapshot ();
     degraded;
-    summaries = ctx.Engine.summaries;
+    summaries =
+      (if record_summaries then ctx.Engine.summaries else Engine.summaries_create ());
   }
 
 let analyze ?(opts = Options.default) ?(entry = "main") ?budget

@@ -48,7 +48,7 @@ type result = {
   summaries : Engine.summaries;
       (** per-(function, input) summaries recorded when [analyze] was
           called with [~record_summaries:true] (empty otherwise); the
-          payload of {!Persist}'s v3 summary section, replayed by later
+          payload of {!Persist}'s summary section, replayed by later
           incremental runs (docs/INCREMENTAL.md) *)
 }
 

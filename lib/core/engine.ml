@@ -19,23 +19,56 @@ module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 open Cfront
 
-(** One memoized (input, output) pair of a function, together with the
-    per-statement points-to contributions its (transitively nested)
-    evaluation made — everything a later run needs to {e replay} the
-    invocation without re-processing the body. Frames are keyed by
-    statement id and hold the merged contribution of the evaluation to
-    that statement's row. *)
+(** One memoized evaluation of a function: its (input, output) pair —
+    the §6 sharing memo — and, when the run records summaries, its
+    {e frame}. A frame is a node of a DAG: the rows the evaluation merged
+    into the per-statement table for its own function's statements, plus
+    references to the child entries it consumed, whether they were
+    evaluated, answered by the memo, or replayed from a seeded summary.
+    Flattening the DAG below an entry ({!flatten}) yields everything the
+    evaluation contributed to the table. The rows of a child that was not
+    stored in the table (bottom output, or an input already present) are
+    inlined into its parent's rows, so every reference names a stored
+    entry. *)
 type summary_entry = {
+  se_id : int;  (** unique in the process: the replay walk's visited key *)
+  se_fn : string;
   se_in : Pts.t;
   se_out : Pts.t;
-  se_frame : (int, Pts.t) Hashtbl.t;
+  se_rows : (int, Pts.t) Hashtbl.t;  (** statement id -> merged contribution *)
+  se_kids : summary_entry list;  (** distinct *)
 }
 
-(** Per-function summaries, indexed like {!ctx.share_memo}: function
-    name, then {!Pts.hash} of the input. *)
+(** Per-function entries: function name, then {!Pts.hash} of the input,
+    so a lookup costs one digest plus O(1) expected instead of a
+    [Pts.equal] scan over every stored context. *)
 type summaries = (string, (int, summary_entry list) Hashtbl.t) Hashtbl.t
 
 let summaries_create () : summaries = Hashtbl.create 16
+
+let next_entry_id = Atomic.make 0
+
+(* The rows of every entry of a run that records no frames. Never
+   mutated: only an open frame's rows are. *)
+let no_rows : (int, Pts.t) Hashtbl.t = Hashtbl.create 1
+
+(* An entry without a frame is never referenced or replayed, so it
+   shares id -1 and leaves the process-wide counter uncontended. *)
+let make_entry ?(rows = no_rows) ?(kids = []) fn se_in se_out =
+  {
+    se_id = (if rows == no_rows then -1 else Atomic.fetch_and_add next_entry_id 1);
+    se_fn = fn;
+    se_in;
+    se_out;
+    se_rows = rows;
+    se_kids = kids;
+  }
+
+(** The frame of an evaluation still in progress. *)
+type frame = {
+  fr_rows : (int, Pts.t) Hashtbl.t;
+  mutable fr_kids : summary_entry list;
+}
 
 type ctx = {
   tenv : Tenv.t;
@@ -60,27 +93,30 @@ type ctx = {
           each reachable function exactly once, so the fixpoint and the
           recorded [stmt_pts] are identical to the unmemoized walk *)
   mutable ci_changed : bool;
-  (* §6 sub-tree sharing: per-function memo of completed (input, output)
-     pairs, shared across invocation-graph nodes. Two-level index:
-     function name, then {!Pts.hash} of the input, so a lookup costs one
-     digest plus O(1) expected instead of a [Pts.equal] scan over every
-     stored context. *)
-  share_memo : (string, (int, (Pts.t * Pts.t) list) Hashtbl.t) Hashtbl.t;
+  summaries : summaries;
+      (** every completed (function, input) evaluation of this run, and
+          every seeded entry it replayed: the §6 sub-tree-sharing memo
+          (consulted under [share_contexts]) and, when recording, the
+          summary DAG {!Persist} writes *)
   mutable share_hits : int;
   mutable bodies_analyzed : int;
       (** number of times any function body was (re)processed *)
   (* incremental re-analysis (docs/INCREMENTAL.md) *)
   record_summaries : bool;
-      (** record a {!summary_entry} per evaluated (function, input) pair
-          so {!Persist} can write the v3 summary section *)
-  summaries : summaries;  (** entries recorded (or replayed) this run *)
+      (** give every {!summary_entry} its frame, so {!Persist} can write
+          the summary section *)
   seeded : summaries;
       (** entries loaded from a previous run's persisted summaries for
           functions whose code (and whole direct-call closure) is
           unchanged; consulted on a share-memo miss *)
-  mutable frame_stack : (int, Pts.t) Hashtbl.t list;
-      (** open frames of the in-flight evaluations, innermost first;
-          every statement contribution is merged into each of them *)
+  mutable frame : frame option;  (** the innermost in-flight evaluation's frame *)
+  node_entry : (int, summary_entry) Hashtbl.t;
+      (** when recording: the entry that last answered each
+          invocation-graph node, referenced again when the node is
+          reused with the same input *)
+  applied : (int, unit) Hashtbl.t;
+      (** ids of the seeded entries whose rows are already in
+          [stmt_pts]: a replay applies each entry at most once *)
   demand : Demand.plan option;
       (** demand mode (docs/DEMAND.md): when set, calls to defined
           functions outside the plan's slice are answered without
@@ -103,13 +139,14 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
     ci_in_flight = Hashtbl.create 16;
     ci_done = Hashtbl.create 16;
     ci_changed = false;
-    share_memo = Hashtbl.create 16;
+    summaries = summaries_create ();
     share_hits = 0;
     bodies_analyzed = 0;
     record_summaries;
-    summaries = summaries_create ();
     seeded = (match seeded with Some s -> s | None -> summaries_create ());
-    frame_stack = [];
+    frame = None;
+    node_entry = Hashtbl.create 16;
+    applied = Hashtbl.create 16;
     demand;
   }
 
@@ -152,8 +189,7 @@ let record_stmt ctx (s : Ir.stmt) (input : Pts.t) =
     && (match ctx.demand with Some p -> Demand.records p s.Ir.s_id | None -> true)
   then begin
     merge_into_tbl ctx.stmt_pts s.Ir.s_id input;
-    if ctx.record_summaries then
-      List.iter (fun fr -> merge_into_tbl fr s.Ir.s_id input) ctx.frame_stack
+    match ctx.frame with Some fr -> merge_into_tbl fr.fr_rows s.Ir.s_id input | None -> ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -169,7 +205,9 @@ let summaries_find (tbl : summaries) fname (input : Pts.t) : summary_entry optio
       | Some entries ->
           List.find_opt (fun e -> Pts.equal e.se_in input) entries)
 
-let summaries_add (tbl : summaries) fname (e : summary_entry) =
+(** Add [e] under [fname] unless an entry with the same input is
+    already there; returns the entry the table holds for that input. *)
+let summaries_add (tbl : summaries) fname (e : summary_entry) : summary_entry =
   let by_hash =
     match Hashtbl.find_opt tbl fname with
     | Some t -> t
@@ -180,24 +218,98 @@ let summaries_add (tbl : summaries) fname (e : summary_entry) =
   in
   let h = Pts.hash e.se_in in
   let entries = Option.value ~default:[] (Hashtbl.find_opt by_hash h) in
-  if not (List.exists (fun e' -> Pts.equal e'.se_in e.se_in) entries) then
-    Hashtbl.replace by_hash h (e :: entries)
+  match List.find_opt (fun e' -> Pts.equal e'.se_in e.se_in) entries with
+  | Some e' -> e'
+  | None ->
+      Hashtbl.replace by_hash h (e :: entries);
+      e
 
-(** Fold a completed frame into every still-open frame, so a caller's
-    record carries the transitive effects of its callees — including
-    callees answered by the memo or by a replayed summary. *)
-let propagate_frame ctx (frame : (int, Pts.t) Hashtbl.t) =
-  if ctx.record_summaries && ctx.frame_stack <> [] then
-    Hashtbl.iter
-      (fun sid s -> List.iter (fun fr -> merge_into_tbl fr sid s) ctx.frame_stack)
-      frame
+(** Visit every entry of the DAG below [e] not yet in [seen], once,
+    parents before their kids. *)
+let rec iter_dag ~seen f (e : summary_entry) =
+  if not (Hashtbl.mem seen e.se_id) then begin
+    Hashtbl.replace seen e.se_id ();
+    f e;
+    List.iter (iter_dag ~seen f) e.se_kids
+  end
 
-(** Replay: merge a persisted frame's per-statement contributions into
-    the live tables, exactly as the skipped evaluation would have. *)
-let apply_frame ctx (frame : (int, Pts.t) Hashtbl.t) =
-  if ctx.opts.Options.record_stats then
-    Hashtbl.iter (fun sid s -> merge_into_tbl ctx.stmt_pts sid s) frame;
-  propagate_frame ctx frame
+(** The per-statement contributions of the evaluation [e] summarizes,
+    its callees' included: the rows of the DAG below it, merged. *)
+let flatten (e : summary_entry) : (int, Pts.t) Hashtbl.t =
+  let out = Hashtbl.create 64 in
+  iter_dag ~seen:(Hashtbl.create 64)
+    (fun e -> Hashtbl.iter (merge_into_tbl out) e.se_rows)
+    e;
+  out
+
+(** Node [node]'s evaluation was answered by [e]: reference it from the
+    enclosing frame. *)
+let consumed ctx (node : Ig.node) (e : summary_entry) =
+  if ctx.record_summaries then begin
+    Hashtbl.replace ctx.node_entry node.Ig.id e;
+    match ctx.frame with Some p -> p.fr_kids <- e :: p.fr_kids | None -> ()
+  end
+
+(** Merge a closed frame into [parent]'s: its evaluation is not in the
+    table, so no later reference can reach it. *)
+let inline (parent : frame option) (fr : frame) =
+  match parent with
+  | Some p ->
+      Hashtbl.iter (merge_into_tbl p.fr_rows) fr.fr_rows;
+      p.fr_kids <- List.rev_append fr.fr_kids p.fr_kids
+  | None -> ()
+
+(** Close the frame of [node]'s finished evaluation ([fname] on [input]),
+    making [parent] the innermost frame again: store the evaluation in
+    the table and reference it from [parent], or inline it there when it
+    cannot be stored. *)
+let finish_evaluation ctx (node : Ig.node) fname input ~parent =
+  let frame = ctx.frame in
+  ctx.frame <- parent;
+  match node.Ig.stored_output with
+  | None -> Option.iter (inline parent) frame
+  (* without recording or sharing, nothing reads the table *)
+  | Some _ when not (ctx.record_summaries || ctx.opts.Options.share_contexts) -> ()
+  | Some out ->
+      let e =
+        match frame with
+        | None -> make_entry fname input out
+        | Some fr ->
+            let kids = List.sort_uniq (fun a b -> Int.compare a.se_id b.se_id) fr.fr_kids in
+            make_entry ~rows:fr.fr_rows ~kids fname input out
+      in
+      let held = summaries_add ctx.summaries fname e in
+      if held == e then consumed ctx node e
+      else if ctx.record_summaries then begin
+        Option.iter (inline parent) frame;
+        Hashtbl.replace ctx.node_entry node.Ig.id held
+      end
+
+(** The §6 sub-tree-sharing memo: a completed evaluation of [fname] on
+    exactly [input]. *)
+let shared_lookup ctx fname (input : Pts.t) : summary_entry option =
+  if not ctx.opts.Options.share_contexts then None
+  else begin
+    Metrics.((cur ()).memo_lookups <- (cur ()).memo_lookups + 1);
+    summaries_find ctx.summaries fname input
+  end
+
+(** Replay: merge the rows of the seeded DAG below [e] into the live
+    table, skipping entries an earlier replay of this run already
+    applied (the merge is an idempotent least upper bound, so once is
+    exact), and adopt every visited entry into the run's table, where
+    the memo answers later lookups and {!Persist} finds it. Returns the
+    number of entries applied. *)
+let apply_entry ctx (e : summary_entry) : int =
+  let n = ref 0 in
+  iter_dag ~seen:ctx.applied
+    (fun e ->
+      incr n;
+      if ctx.opts.Options.record_stats then
+        Hashtbl.iter (merge_into_tbl ctx.stmt_pts) e.se_rows;
+      ignore (summaries_add ctx.summaries e.se_fn e))
+    e;
+  !n
 
 (* ------------------------------------------------------------------ *)
 (* Basic statement rule (Figure 1, process_basic_stmt)                *)
@@ -864,24 +976,22 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
       match (node.Ig.stored_input, node.Ig.in_flight) with
       | Some si, false when Pts.equal si func_input && Option.is_some node.Ig.stored_output
         ->
+          (* the enclosing evaluation consumes this node's entry even
+             when an earlier evaluation of the parent node met it first *)
+          if ctx.record_summaries then
+            Option.iter (consumed ctx node) (Hashtbl.find_opt ctx.node_entry node.Ig.id);
           node.Ig.stored_output
       | _ -> (
           (* §6 sub-tree sharing: another context of the same function may
              already have been analyzed with an identical input *)
           match shared_lookup ctx callee_fn.Ir.fn_name func_input with
-          | Some out ->
+          | Some e ->
               ctx.share_hits <- ctx.share_hits + 1;
               Metrics.((cur ()).memo_hits <- (cur ()).memo_hits + 1);
               node.Ig.stored_input <- Some func_input;
-              node.Ig.stored_output <- Some out;
-              (* the first occurrence already merged its contributions
-                 into [stmt_pts] this run, but open frames still need the
-                 transitive effects of this invocation *)
-              (if ctx.record_summaries then
-                 match summaries_find ctx.summaries callee_fn.Ir.fn_name func_input with
-                 | Some e -> propagate_frame ctx e.se_frame
-                 | None -> ());
-              Some out
+              node.Ig.stored_output <- Some e.se_out;
+              consumed ctx node e;
+              Some e.se_out
           | None -> (
           match seeded_replay ctx node callee_fn func_input with
           | Some _ as out -> out
@@ -891,14 +1001,9 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               node.Ig.stored_output <- Pts.bot;
               node.Ig.pending <- [];
               node.Ig.in_flight <- true;
-              let frame =
-                if ctx.record_summaries then begin
-                  let fr = Hashtbl.create 16 in
-                  ctx.frame_stack <- fr :: ctx.frame_stack;
-                  Some fr
-                end
-                else None
-              in
+              let parent = ctx.frame in
+              if ctx.record_summaries then
+                ctx.frame <- Some { fr_rows = Hashtbl.create 16; fr_kids = [] };
               Guard.at ctx.guard callee_fn.Ir.fn_name;
               let rec fixpoint ~first ~n =
                 Guard.check ctx.guard;
@@ -945,19 +1050,7 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               fixpoint ~first:true ~n:1;
               node.Ig.in_flight <- false;
               node.Ig.stored_input <- Some func_input;
-              (match node.Ig.stored_output with
-              | Some out -> shared_record ctx callee_fn.Ir.fn_name func_input out
-              | None -> ());
-              (match frame with
-              | Some fr ->
-                  ctx.frame_stack <- List.tl ctx.frame_stack;
-                  (match node.Ig.stored_output with
-                  | Some out ->
-                      summaries_add ctx.summaries callee_fn.Ir.fn_name
-                        { se_in = func_input; se_out = out; se_frame = fr }
-                  | None -> ());
-                  propagate_frame ctx fr
-              | None -> ());
+              finish_evaluation ctx node callee_fn.Ir.fn_name func_input ~parent;
               if Trace.on () then
                 Trace.emit Trace.Node ~name:callee_fn.Ir.fn_name
                   ~ctx:(Pts.hash func_input) ~stmts:(Ir.count_stmts callee_fn)
@@ -983,10 +1076,8 @@ and seeded_replay ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t
   | None -> None
   | Some e ->
       let tr0 = Trace.start () in
-      apply_frame ctx e.se_frame;
-      (* carry the entry forward so the re-saved summary file keeps it *)
-      summaries_add ctx.summaries callee_fn.Ir.fn_name e;
-      shared_record ctx callee_fn.Ir.fn_name func_input e.se_out;
+      ignore (apply_entry ctx e);
+      consumed ctx node e;
       node.Ig.stored_input <- Some func_input;
       node.Ig.stored_output <- Some e.se_out;
       Metrics.((cur ()).incr_funcs_reused <- (cur ()).incr_funcs_reused + 1);
@@ -994,39 +1085,6 @@ and seeded_replay ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t
         Trace.emit Trace.Replay ~name:callee_fn.Ir.fn_name ~ctx:(Pts.hash func_input)
           ~pts_in:(Pts.cardinal func_input) ~pts_out:(Pts.cardinal e.se_out) ~t0:tr0 ();
       Some e.se_out
-
-and shared_lookup ctx fname (input : Pts.t) : Pts.t option =
-  if not ctx.opts.Options.share_contexts then None
-  else begin
-    Metrics.((cur ()).memo_lookups <- (cur ()).memo_lookups + 1);
-    match Hashtbl.find_opt ctx.share_memo fname with
-    | None -> None
-    | Some by_hash -> (
-        (* hash bucket first: [Pts.equal] runs only on digest collisions
-           (in practice, on the one stored entry with this input) *)
-        match Hashtbl.find_opt by_hash (Pts.hash input) with
-        | None -> None
-        | Some entries ->
-            List.find_map
-              (fun (i, o) -> if Pts.equal i input then Some o else None)
-              entries)
-  end
-
-and shared_record ctx fname (input : Pts.t) (output : Pts.t) : unit =
-  if ctx.opts.Options.share_contexts then begin
-    let by_hash =
-      match Hashtbl.find_opt ctx.share_memo fname with
-      | Some t -> t
-      | None ->
-          let t = Hashtbl.create 16 in
-          Hashtbl.replace ctx.share_memo fname t;
-          t
-    in
-    let h = Pts.hash input in
-    let entries = Option.value ~default:[] (Hashtbl.find_opt by_hash h) in
-    if not (List.exists (fun (i, _) -> Pts.equal i input) entries) then
-      Hashtbl.replace by_hash h ((input, output) :: entries)
-  end
 
 (** Context-insensitive ablation: one merged IN/OUT pair per function;
     convergence is reached by the driver re-running the whole program

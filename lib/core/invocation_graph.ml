@@ -43,10 +43,7 @@ type node = {
   mutable map_info : map_info;
 }
 
-type t = {
-  root : node;
-  mutable n_nodes : int;
-}
+type t = { root : node }
 
 (* Node ids are assigned from a domain-local counter, reset by {!build}:
    an analysis runs wholly on one domain, so ids depend only on the
@@ -143,7 +140,7 @@ let build ?within (tenv : Tenv.t) ~(entry : string) : t =
   let node_counter = Domain.DLS.get node_counter in
   node_counter := 0;
   let root = grow ?within tenv ~parent:None entry in
-  { root; n_nodes = !node_counter }
+  { root }
 
 (* ------------------------------------------------------------------ *)
 (* Queries and statistics                                             *)

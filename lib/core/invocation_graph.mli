@@ -34,10 +34,7 @@ type node = {
   mutable map_info : map_info;
 }
 
-type t = {
-  root : node;
-  mutable n_nodes : int;
-}
+type t = { root : node }
 
 (** Nearest ancestor (or the node itself) running [fname]. *)
 val ancestor_with : node -> string -> node option
@@ -62,6 +59,8 @@ val add_indirect_child : Tenv.t -> node -> int -> string -> node
 val build : ?within:(string -> bool) -> Tenv.t -> entry:string -> t
 
 val fold : ('a -> node -> 'a) -> 'a -> t -> 'a
+
+(** Node count by traversal, children grown at indirect sites included. *)
 val n_nodes : t -> int
 
 (** Nodes allocated on this domain since the last {!build} — tracks the

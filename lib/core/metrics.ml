@@ -69,7 +69,7 @@ type t = {
           functions plus everything that can reach one) *)
   mutable incr_funcs_reused : int;
       (** summary replays: memoized (input, output) pairs served from
-          the persisted v3 summaries instead of re-running the body *)
+          the persisted summaries instead of re-running the body *)
   (* demand-driven mode ({!Demand} / {!Analysis.analyze_demand}) *)
   mutable demand_plans : int;  (** slice plans built *)
   mutable demand_slice_funcs : int;

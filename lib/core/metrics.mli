@@ -47,7 +47,7 @@ type t = {
           can reach one — see docs/INCREMENTAL.md) *)
   mutable incr_funcs_reused : int;
       (** incremental re-analysis: summary replays — memoized
-          (input, output) pairs served from persisted v3 summaries
+          (input, output) pairs served from persisted summaries
           instead of re-running the function body *)
   mutable demand_plans : int;  (** {!Demand} slice plans built *)
   mutable demand_slice_funcs : int;

@@ -25,7 +25,7 @@
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 4
+let version = 5
 
 let magic = "PTANC"
 
@@ -365,19 +365,25 @@ let w_set_entry e rw se b (s : Pts.t) =
       w_set e rw b s
 
 let set_idx e rw se (s : Pts.t) : int =
-  let card = Pts.fingerprint s in
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt se.s_tbl card) in
-  match List.find_opt (fun (s', _) -> Pts.equal s' s) bucket with
-  | Some (_, i) ->
-      se.s_last <- Some (s, i);
+  match se.s_last with
+  | Some (last, i) when last == s ->
+      (* statements that leave the set alone pass it on physically:
+         most rows of a summary repeat the previous one *)
       i
-  | None ->
-      w_set_entry e rw se se.s_buf s;
-      let i = se.s_next in
-      se.s_next <- i + 1;
-      Hashtbl.replace se.s_tbl card ((s, i) :: bucket);
-      se.s_last <- Some (s, i);
-      i
+  | _ -> (
+      let card = Pts.fingerprint s in
+      let bucket = Option.value ~default:[] (Hashtbl.find_opt se.s_tbl card) in
+      match List.find_opt (fun (s', _) -> Pts.equal s' s) bucket with
+      | Some (_, i) ->
+          se.s_last <- Some (s, i);
+          i
+      | None ->
+          w_set_entry e rw se se.s_buf s;
+          let i = se.s_next in
+          se.s_next <- i + 1;
+          Hashtbl.replace se.s_tbl card ((s, i) :: bucket);
+          se.s_last <- Some (s, i);
+          i)
 
 let r_set_table arr rows r : Pts.t array =
   let n = r_u r in
@@ -558,7 +564,7 @@ let rec r_node arr sets r ~parent ~(nodes : (int, Ig.node) Hashtbl.t) : Ig.node 
   node
 
 (* ------------------------------------------------------------------ *)
-(* Incremental re-analysis: function hashes and summaries (v3)        *)
+(* Incremental re-analysis: function hashes and summaries             *)
 (* ------------------------------------------------------------------ *)
 
 (* Content hash of one function, invariant under edits elsewhere in the
@@ -602,8 +608,8 @@ let env_hash ~opts ~entry (p : Ir.program) : Digest.t =
        (p.Ir.globals, p.Ir.layouts, p.Ir.protos, opts_repr opts, entry)
        [])
 
-(* Frames are persisted position-independently as (function, index of
-   the statement within that function's textual order): program-wide
+(* Summary rows are persisted position-independently as (function, index
+   of the statement within that function's textual order): program-wide
    statement ids shift under edits, but an unchanged function's local
    order is stable. *)
 let stmt_index (p : Ir.program) :
@@ -622,10 +628,9 @@ let stmt_index (p : Ir.program) :
     p.Ir.funcs;
   (by_id, by_local)
 
-(** The v3 incremental section of a file, decoded but not yet bound to
-    a program: frame statements are still (function index, local index)
-    pairs, resolved against whatever program the summaries get seeded
-    into. *)
+(** The incremental section of a file, decoded but not yet bound to a
+    program: summary rows are still (function, local index) pairs,
+    resolved against whatever program the summaries get seeded into. *)
 type raw_summaries = {
   rs_env : string;  (** {!env_hash} of the saved run, 16 raw bytes *)
   rs_hashes : (string * string) list;
@@ -634,57 +639,95 @@ type raw_summaries = {
   rs_sets : Pts.t array;  (** the decoded set table the blocks reference *)
   rs_blocks : (string * int * int) list;
       (** per function, the (name, offset, length) of its still-encoded
-          (input, output, frame) records — decoded by {!bind_summaries}
-          only for the functions that will actually replay *)
+          summary entries — decoded by {!bind_summaries} only for the
+          functions that will actually replay *)
 }
 
-(** Decode the records of the [keep]-satisfying functions and rebind
-    their frames to [p]'s statement ids, dropping any record whose
-    frame references a statement [p] does not have (defensive — the
-    eligibility rule never seeds such a record). The blocks were
-    digest-verified with the rest of the entry, so a decode failure
-    still only means [Bad]. *)
+(** Decode the entries of the [keep]-satisfying functions and rebuild
+    their DAG against [p]'s statement ids. An entry binds when each of
+    its rows names a statement [p] has and each of its kids binds, so an
+    entry whose kids belong to a function that does not replay is
+    dropped (defensive — the eligibility rule closes the kept set under
+    direct calls, and only direct callees are ever kids of a kept
+    entry). The blocks were digest-verified with the rest of the entry,
+    so a decode failure still only means [Bad]. *)
 let bind_summaries ?(keep = fun _ -> true) (p : Ir.program) (raw : raw_summaries) :
     Engine.summaries =
   let _, by_local = stmt_index p in
   let names = Array.of_list (List.map fst raw.rs_hashes) in
-  let out = Engine.summaries_create () in
+  let name fi = if fi < 0 || fi >= Array.length names then raise Bad else names.(fi) in
+  let set r = r_set_ref raw.rs_sets r in
+  let blocks = Hashtbl.create 64 in
   List.iter
     (fun (fn, pos, len) ->
       if keep fn then begin
         let r = { data = raw.rs_data; pos } in
         let entries =
           r_list r (fun () ->
-              let i = r_set_ref raw.rs_sets r in
-              let o = r_set_ref raw.rs_sets r in
-              let items =
+              let i = set r in
+              let o = set r in
+              let own = r_list r (fun () -> let li = r_u r in (fn, li, set r)) in
+              let foreign =
                 r_list r (fun () ->
-                    let fi = r_u r in
+                    let f = name (r_u r) in
                     let li = r_u r in
-                    (fi, li, r_set_ref raw.rs_sets r))
+                    (f, li, set r))
               in
-              (i, o, items))
+              let kids =
+                r_list r (fun () ->
+                    let f = name (r_u r) in
+                    (f, r_u r))
+              in
+              (i, o, own @ foreign, kids))
         in
         if r.pos <> pos + len then raise Bad;
-        List.iter
-          (fun (se_in, se_out, items) ->
-            let fr = Hashtbl.create 16 in
-            let ok =
-              List.for_all
-                (fun (fi, li, s) ->
-                  fi >= 0 && fi < Array.length names
-                  &&
-                  match Hashtbl.find_opt by_local (names.(fi), li) with
-                  | None -> false
-                  | Some sid ->
-                      Hashtbl.replace fr sid s;
-                      true)
-                items
-            in
-            if ok then
-              Engine.summaries_add out fn { Engine.se_in; se_out; se_frame = fr })
-          entries
+        Hashtbl.replace blocks fn (Array.of_list entries)
       end)
+    raw.rs_blocks;
+  (* kids first; [None] marks an entry that does not bind, and is set
+     before the kids are visited so that a cycle binds nothing *)
+  let bound = Hashtbl.create 256 in
+  let rec bind fn ei =
+    match Hashtbl.find_opt bound (fn, ei) with
+    | Some b -> b
+    | None ->
+        Hashtbl.replace bound (fn, ei) None;
+        let b =
+          match Hashtbl.find_opt blocks fn with
+          | Some entries when ei < Array.length entries ->
+              let se_in, se_out, rows, kids = entries.(ei) in
+              let tbl = Hashtbl.create (List.length rows) in
+              let rows_ok =
+                List.for_all
+                  (fun (f, li, s) ->
+                    match Hashtbl.find_opt by_local (f, li) with
+                    | None -> false
+                    | Some sid ->
+                        Hashtbl.replace tbl sid s;
+                        true)
+                  rows
+              in
+              let kids = List.map (fun (f, k) -> bind f k) kids in
+              if rows_ok && List.for_all Option.is_some kids then
+                Some
+                  (Engine.make_entry ~rows:tbl ~kids:(List.filter_map Fun.id kids) fn se_in
+                     se_out)
+              else None
+          | Some _ | None -> None
+        in
+        Hashtbl.replace bound (fn, ei) b;
+        b
+  in
+  let out = Engine.summaries_create () in
+  List.iter
+    (fun (fn, _, _) ->
+      match Hashtbl.find_opt blocks fn with
+      | Some entries ->
+          Array.iteri
+            (fun ei _ ->
+              Option.iter (fun e -> ignore (Engine.summaries_add out fn e)) (bind fn ei))
+            entries
+      | None -> ())
     raw.rs_blocks;
   out
 
@@ -742,9 +785,8 @@ let save ~source ?(entry = "main") (res : Analysis.result) file =
   w_u pay res.Analysis.share_hits;
   w_u pay res.Analysis.bodies_analyzed;
   w_metrics pay res.Analysis.metrics;
-  w_u pay res.Analysis.graph.Ig.n_nodes;
   w_node e rw se pay res.Analysis.graph.Ig.root;
-  (* v3 incremental section: env hash, per-function content hashes and
+  (* incremental section: env hash, per-function content hashes and
      the recorded summaries (docs/INCREMENTAL.md). Sets intern into the
      same table as everything above. *)
   Buffer.add_string pay (env_hash ~opts ~entry res.Analysis.prog);
@@ -758,16 +800,38 @@ let save ~source ?(entry = "main") (res : Analysis.result) file =
   let fn_idx = Hashtbl.create 64 in
   List.iteri (fun i (n, _) -> Hashtbl.replace fn_idx n i) hashes;
   let by_id, _ = stmt_index res.Analysis.prog in
-  let sum_fns =
+  (* the summary DAG, one block per function: the table's entries, then
+     every entry reachable only as a kid; an entry's index is its
+     position in its function's block *)
+  let index = Hashtbl.create 256 in
+  let blocks = Hashtbl.create 64 in
+  let add (en : Engine.summary_entry) =
+    if Hashtbl.mem index en.Engine.se_id then false
+    else begin
+      let es, n = Option.value ~default:([], 0) (Hashtbl.find_opt blocks en.Engine.se_fn) in
+      Hashtbl.replace index en.Engine.se_id n;
+      Hashtbl.replace blocks en.Engine.se_fn (en :: es, n + 1);
+      true
+    end
+  in
+  let table =
     Hashtbl.fold
-      (fun fn by_hash acc ->
-        let entries = Hashtbl.fold (fun _ es acc -> es @ acc) by_hash [] in
-        (fn, entries) :: acc)
+      (fun fn by_hash acc -> (fn, Hashtbl.fold (fun _ es acc -> es @ acc) by_hash []) :: acc)
       res.Analysis.summaries []
-    |> List.sort compare
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.concat_map snd
+  in
+  List.iter (fun en -> ignore (add en)) table;
+  let rec close (en : Engine.summary_entry) =
+    List.iter (fun k -> if add k then close k) en.Engine.se_kids
+  in
+  List.iter close table;
+  let sum_fns =
+    Hashtbl.fold (fun fn (es, _) acc -> (fn, List.rev es) :: acc) blocks []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   w_u pay (List.length sum_fns);
-  (* each function's records go behind a byte-length prefix so the
+  (* each function's entries go behind a byte-length prefix so the
      loader can skip the functions it will not replay *)
   let scratch = Buffer.create 4096 in
   List.iter
@@ -776,26 +840,38 @@ let save ~source ?(entry = "main") (res : Analysis.result) file =
       Buffer.clear scratch;
       w_u scratch (List.length entries);
       List.iter
-        (fun { Engine.se_in; se_out; se_frame } ->
-          w_u scratch (set_idx e rw se se_in);
-          w_u scratch (set_idx e rw se se_out);
-          let items =
+        (fun (en : Engine.summary_entry) ->
+          w_u scratch (set_idx e rw se en.Engine.se_in);
+          w_u scratch (set_idx e rw se en.Engine.se_out);
+          (* rows of the entry's own statements, then any inlined from a
+             callee evaluation that was not stored; statements of
+             undefined functions cannot occur, so [find] is total *)
+          let own, foreign =
             Hashtbl.fold
-              (fun sid s acc ->
-                (* statements of undefined functions cannot occur in a
-                   frame; [find] is total here *)
-                let owner, li = Hashtbl.find by_id sid in
-                (Hashtbl.find fn_idx owner, li, s) :: acc)
-              se_frame []
-            |> List.sort (fun (a, b, _) (c, d, _) -> compare (a, b) (c, d))
+              (fun sid s acc -> (Hashtbl.find by_id sid, s) :: acc)
+              en.Engine.se_rows []
+            |> List.sort (fun (a, _) (b, _) -> compare a b)
+            |> List.partition (fun ((owner, _), _) -> String.equal owner fn)
           in
-          w_u scratch (List.length items);
+          w_u scratch (List.length own);
           List.iter
-            (fun (fi, li, s) ->
-              w_u scratch fi;
+            (fun ((_, li), s) ->
               w_u scratch li;
               w_u scratch (set_idx e rw se s))
-            items)
+            own;
+          w_u scratch (List.length foreign);
+          List.iter
+            (fun ((owner, li), s) ->
+              w_u scratch (Hashtbl.find fn_idx owner);
+              w_u scratch li;
+              w_u scratch (set_idx e rw se s))
+            foreign;
+          w_u scratch (List.length en.Engine.se_kids);
+          List.iter
+            (fun (k : Engine.summary_entry) ->
+              w_u scratch (Hashtbl.find fn_idx k.Engine.se_fn);
+              w_u scratch (Hashtbl.find index k.Engine.se_id))
+            en.Engine.se_kids)
         entries;
       w_str pay (Buffer.contents scratch))
     sum_fns;
@@ -885,7 +961,6 @@ let decode_body ~opts r : Analysis.result * raw_summaries =
   let share_hits = r_u r in
   let bodies_analyzed = r_u r in
   let metrics = r_metrics r in
-  let n_nodes = r_u r in
   let root = r_node arr sets r ~parent:None ~nodes:(Hashtbl.create 64) in
   let rs_env = r_raw r 16 in
   let rs_hashes = r_list r (fun () ->
@@ -907,7 +982,7 @@ let decode_body ~opts r : Analysis.result * raw_summaries =
   ( {
       Analysis.prog;
       tenv;
-      graph = { Ig.root; n_nodes };
+      graph = { Ig.root };
       stmt_pts;
       entry_output;
       warnings;
@@ -1151,8 +1226,8 @@ let rekey_file ~data ~newkey file =
         Sys.rename tmp file)
   with Bad | Sys_error _ | Failure _ | End_of_file -> ()
 
-let load_summaries ~cache_dir ~source ~opts ?(entry = "main") (prog : Ir.program) :
-    Engine.summaries option =
+let load_summaries ~cache_dir ~source ~opts ?(entry = "main")
+    (prog : Ir.program) : Engine.summaries option =
   (* same gate as [analyze_cached_incr]: summaries only replay under the
      seedable engine modes *)
   if not (opts.Options.context_sensitive && not opts.Options.heap_by_site) then None
@@ -1165,8 +1240,8 @@ let load_summaries ~cache_dir ~source ~opts ?(entry = "main") (prog : Ir.program
         else begin
           let old_hashes = Hashtbl.create 64 in
           List.iter (fun (n, d) -> Hashtbl.replace old_hashes n d) raw.rs_hashes;
-          let elig = eligible_funcs prog ~old_hashes in
-          match bind_summaries ~keep:(Hashtbl.mem elig) prog raw with
+          let keep = Hashtbl.mem (eligible_funcs prog ~old_hashes) in
+          match bind_summaries ~keep prog raw with
           | exception Bad -> None
           | seeded -> Some seeded
         end

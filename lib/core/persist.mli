@@ -37,7 +37,7 @@
 
     With [~incremental:true], {!analyze_cached} keeps one
     {e stable-named} entry per (source path, options, entry) that also
-    carries the v3 incremental section: a content hash per function
+    carries the incremental section: a content hash per function
     (position-normalized, so edits elsewhere in the file do not disturb
     it) and a replayable summary per evaluated (function, input) pair.
     On re-analysis after an edit, the hashes are diffed, the dirty slice

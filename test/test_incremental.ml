@@ -61,9 +61,10 @@ let replace_once ~sub ~by s =
 (** The full query surface an incremental run must reproduce
     bit-identically: per-statement sets, entry output, warnings, and the
     invocation graph (shape, kinds, stored pairs). *)
-let stmt_pts_strings (res : Analysis.result) =
-  Hashtbl.fold (fun id s acc -> (id, Pts.to_string s) :: acc) res.Analysis.stmt_pts []
-  |> List.sort compare
+let row_strings tbl =
+  Hashtbl.fold (fun id s acc -> (id, Pts.to_string s) :: acc) tbl [] |> List.sort compare
+
+let stmt_pts_strings (res : Analysis.result) = row_strings res.Analysis.stmt_pts
 
 let check_identical name (cold : Analysis.result) (incr : Analysis.result) =
   Alcotest.(check (list (pair int string)))
@@ -334,4 +335,206 @@ let corruption_tests =
             Alcotest.(check int) "every victim kept" 5 (List.length bad)));
   ]
 
-let suite = ("incremental", hash_tests @ cone_tests @ suite_tests @ corruption_tests)
+(* ------------------------------------------------------------------ *)
+(* The summary DAG                                                     *)
+(* ------------------------------------------------------------------ *)
+
+module Engine = Pointsto.Engine
+
+(** The single entry [fn] has in a summary table. *)
+let only_entry (tbl : Engine.summaries) fn =
+  match Hashtbl.find_opt tbl fn with
+  | None -> Alcotest.failf "no summary of %s" fn
+  | Some by_hash -> (
+      match Hashtbl.fold (fun _ es acc -> es @ acc) by_hash [] with
+      | [ e ] -> e
+      | es -> Alcotest.failf "%d summaries of %s" (List.length es) fn)
+
+let check_flattens name (e : Engine.summary_entry) (res : Analysis.result) =
+  Alcotest.(check (list (pair int string)))
+    (name ^ ": flattened DAG = per-statement table")
+    (stmt_pts_strings res)
+    (row_strings (Engine.flatten e))
+
+(** The corpus shapes (docs/CORPUS.md) at test size. *)
+let shapes =
+  let k = { Gen.default with Gen.size = 600 } in
+  [
+    ("deep", { k with Gen.seed = 23; depth = 7; fnptr_density = 0; structs = 50 });
+    ("knot", { k with Gen.seed = 37; depth = 4; fnptr_density = 15; recursion = 30 });
+    ("web", { k with Gen.seed = 11; depth = 4; fnptr_density = 30 });
+  ]
+
+(* Generated mains all start with the same three assignments. *)
+let edit_main ~by text = replace_once ~sub:"    r = 0;\n" ~by:("    r = 0;\n" ^ by) text
+
+let dag_tests =
+  [
+    case "main's summary DAG flattens to the table, live and persisted" (fun () ->
+        List.iter
+          (fun (name, knobs) ->
+            in_temp (fun dir ->
+                let source = Filename.concat dir (name ^ ".c") in
+                write_file source (Gen.program knobs);
+                let r, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+                let live = r.Analysis.summaries in
+                check_flattens (name ^ " live") (only_entry live "main") r;
+                match
+                  Persist.load_summaries ~cache_dir:dir ~source ~opts:Options.default
+                    r.Analysis.prog
+                with
+                | None -> Alcotest.failf "%s: no persisted summaries" name
+                | Some tbl ->
+                    (* deep has no indirect calls, so every function, main
+                       included, is eligible; in knot and web the loaded
+                       entries are those below the indirect call sites *)
+                    if name = "deep" then
+                      check_flattens (name ^ " persisted") (only_entry tbl "main") r;
+                    let n = ref 0 in
+                    Hashtbl.iter
+                      (fun fn by_hash ->
+                        Hashtbl.iter
+                          (fun _ es ->
+                            List.iter
+                              (fun (e : Engine.summary_entry) ->
+                                incr n;
+                                match Engine.summaries_find live fn e.Engine.se_in with
+                                | None -> Alcotest.failf "%s: %s has no live entry" name fn
+                                | Some l ->
+                                    Alcotest.(check (list (pair int string)))
+                                      (Fmt.str "%s: %s persisted = live" name fn)
+                                      (row_strings (Engine.flatten l))
+                                      (row_strings (Engine.flatten e)))
+                              es)
+                          by_hash)
+                      tbl;
+                    Alcotest.(check bool) (name ^ ": summaries load") true (!n > 0)))
+          shapes);
+    case "edits to main replay the rest from the persisted DAG" (fun () ->
+        List.iter
+          (fun (name, knobs) ->
+            in_temp (fun dir ->
+                let source = Filename.concat dir (name ^ ".c") in
+                write_file source (Gen.program knobs);
+                let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+                (* the second edit replays entries the first run carried
+                   forward from the DAG it replayed *)
+                List.iteri
+                  (fun i by ->
+                    write_file source (edit_main ~by (read_file source));
+                    let r, _ =
+                      Persist.analyze_cached ~cache_dir:dir ~incremental:true source
+                    in
+                    let m = r.Analysis.metrics in
+                    let what = Fmt.str "%s edit %d" name i in
+                    if name = "deep" then
+                      Alcotest.(check int) (what ^ ": only main is dirty") 1
+                        m.Metrics.incr_funcs_dirty;
+                    Alcotest.(check bool) (what ^ ": summaries replay") true
+                      (m.Metrics.incr_funcs_reused > 0);
+                    check_identical what (Analysis.of_file source) r)
+                  [ "    q = &r;\n"; "    q = &x;\n" ]))
+          shapes);
+    case "a diamond's shared callee entry is referenced, not copied, and applied once"
+      (fun () ->
+        let src =
+          "int g; int *p;\n\
+           void d(int *x) { int *l; l = x; }\n\
+           void a(void) { d(&g); }\n\
+           void b(void) { d(&g); }\n\
+           int main(void) { a(); b(); p = &g; return 0; }\n"
+        in
+        let r = Analysis.analyze ~record_summaries:true (simplify src) in
+        let tbl = r.Analysis.summaries in
+        let ea = only_entry tbl "a" and eb = only_entry tbl "b" and ed = only_entry tbl "d" in
+        let shares e = List.exists (fun k -> k == ed) e.Engine.se_kids in
+        Alcotest.(check bool) "a and b reference the one entry of d" true
+          (shares ea && shares eb);
+        let ctx = Engine.make_ctx (Pointsto.Tenv.make ~opts:Options.default r.Analysis.prog) in
+        Alcotest.(check int) "replaying a applies a and d" 2 (Engine.apply_entry ctx ea);
+        Alcotest.(check int) "replaying b then applies b alone" 1 (Engine.apply_entry ctx eb);
+        Alcotest.(check int) "a second replay applies nothing" 0 (Engine.apply_entry ctx ea);
+        let expected = Engine.flatten ea in
+        Hashtbl.iter
+          (fun sid s ->
+            Hashtbl.replace expected sid
+              (match Hashtbl.find_opt expected sid with Some o -> Pts.merge o s | None -> s))
+          (Engine.flatten eb);
+        Alcotest.(check (list (pair int string)))
+          "the replayed rows are a's and b's" (row_strings expected)
+          (row_strings ctx.Engine.stmt_pts);
+        in_temp (fun dir ->
+            let source = Filename.concat dir "diamond.c" in
+            write_file source src;
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            (match
+               Persist.load_summaries ~cache_dir:dir ~source ~opts:Options.default
+                 (simplify src)
+             with
+            | None -> Alcotest.fail "no persisted summaries"
+            | Some tbl ->
+                let kids fn = (only_entry tbl fn).Engine.se_kids in
+                Alcotest.(check bool) "the loaded DAG still shares d" true
+                  (match (kids "a", kids "b") with [ x ], [ y ] -> x == y | _ -> false));
+            write_file source (replace_once ~sub:"p = &g;" ~by:"p = &g; p = 0;" src);
+            let r2, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            Alcotest.(check int) "only main is dirty" 1
+              r2.Analysis.metrics.Metrics.incr_funcs_dirty;
+            Alcotest.(check int) "a and b replay; d comes with them" 2
+              r2.Analysis.metrics.Metrics.incr_funcs_reused;
+            check_identical "diamond" (Analysis.of_file source) r2));
+    case "a reused invocation-graph node still counts toward its parent's summary" (fun () ->
+        (* par's node runs twice in gp's loop, with two inputs; c's node
+           sees the same input both times, so the second evaluation of
+           par reuses it without evaluating c. That evaluation's summary
+           must still reach c's rows: after the edit, gp calls par only
+           with the second input, and replaying par must reproduce them. *)
+        let prelude =
+          "int g1; int g2; int x; int *q; int k;\n\
+           void c(void) { q = &x; }\n\
+           void par(int *a) { int *l; l = a; q = &x; c(); }\n"
+        in
+        let v1 = "void gp(void) { int *t; t = &g1; while (k) { par(t); t = &g2; } }\n" in
+        let v2 =
+          "void gp(void) { int *t; if (k) t = &g1; else t = &g2; if (k) q = &x; par(t); }\n"
+        in
+        let main = "int main(void) { gp(); return 0; }\n" in
+        in_temp (fun dir ->
+            let source = Filename.concat dir "reuse.c" in
+            write_file source (prelude ^ v1 ^ main);
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            write_file source (prelude ^ v2 ^ main);
+            let r, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            Alcotest.(check int) "par replays" 1 r.Analysis.metrics.Metrics.incr_funcs_reused;
+            check_identical "reuse" (Analysis.of_file source) r));
+    case "an entry of the previous format version is quarantined and refilled" (fun () ->
+        in_temp (fun dir ->
+            let source = Filename.concat dir "cone.c" in
+            write_file source cone_src_v1;
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            let pti =
+              Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default
+                ~entry:"main"
+            in
+            let data = read_file pti in
+            (* the magic, then the version as a one-byte varint *)
+            Alcotest.(check int) "version byte" Persist.version (Char.code data.[5]);
+            write_file pti
+              (String.sub data 0 5
+              ^ String.make 1 (Char.chr (Persist.version - 1))
+              ^ String.sub data 6 (String.length data - 6));
+            (* an edit: read as current, the entry would replay *)
+            write_file source cone_src_v2;
+            let r, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            Alcotest.(check bool) "miss" false hit;
+            Alcotest.(check int) "quarantined" 1 r.Analysis.metrics.Metrics.cache_quarantined;
+            Alcotest.(check int) "nothing replayed" 0 r.Analysis.metrics.Metrics.incr_funcs_reused;
+            check_identical "old version" (Analysis.of_file source) r;
+            Alcotest.(check bool) "old entry kept for post-mortem" true
+              (Sys.file_exists (pti ^ ".bad"));
+            let _, hit2 = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            Alcotest.(check bool) "refilled entry is a full hit" true hit2));
+  ]
+
+let suite =
+  ("incremental", hash_tests @ cone_tests @ suite_tests @ corruption_tests @ dag_tests)

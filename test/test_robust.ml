@@ -695,6 +695,21 @@ let exit_code_tests =
             in
             Alcotest.(check int) "exit 1, not 3" 1 code;
             Alcotest.(check bool) "degradation still reported" true (contains out "degraded:")));
+    case "profile and stats agree on the IG node count" (fun () ->
+        (* the count includes the children the engine grows at indirect
+           sites: livc's IG is mostly function-pointer targets *)
+        let lines out = String.split_on_char '\n' out in
+        let _, prof, _ = run_ptan (Fmt.str "profile %s" (bench "livc")) in
+        let _, stats, _ = run_ptan (Fmt.str "stats --no-cache %s" (bench "livc")) in
+        let from_profile =
+          List.find_map (fun l -> Scanf.sscanf_opt l "%d IG nodes" Fun.id) (lines prof)
+        in
+        let from_stats =
+          List.find_map (fun l -> Scanf.sscanf_opt l "IG: nodes %d" Fun.id) (lines stats)
+        in
+        Alcotest.(check (option int)) "same count" from_stats from_profile;
+        Alcotest.(check bool) "indirect children counted" true
+          (Option.value ~default:0 from_profile > 100));
     case "tables: all clean exits 0" (fun () ->
         let code, _, _ = run_ptan (Fmt.str "tables --no-cache %s" (bench "hash")) in
         Alcotest.(check int) "exit 0" 0 code);
