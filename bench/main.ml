@@ -451,6 +451,18 @@ let time f =
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1e3)
 
+(** [f]'s last value and its best wall-clock over [n] runs, in ms;
+    [prepare] runs untimed before each. *)
+let best_of ?(prepare = ignore) n f =
+  let best = ref infinity and last = ref None in
+  for _ = 1 to n do
+    prepare ();
+    let v, t = time f in
+    last := Some v;
+    if t < !best then best := t
+  done;
+  (Option.get !last, !best)
+
 let persistence () =
   section "Persisted Results: cold analyze+save vs warm load, then demand queries";
   let dir = Filename.temp_file "ptan-bench" "" in
@@ -793,17 +805,7 @@ let incr_measure ~dir ~name ~label ~edit =
   in
   let entry_bytes = read_file entry_file in
   write_file source (edit (read_file source));
-  let min_time ?(prepare = ignore) f =
-    let best = ref infinity and last = ref None in
-    for _ = 1 to incr_repeats do
-      prepare ();
-      let v, t = time f in
-      last := Some v;
-      if t < !best then best := t
-    done;
-    (Option.get !last, !best)
-  in
-  let cold, t_nocache = min_time (fun () -> Analysis.of_file source) in
+  let cold, t_nocache = best_of incr_repeats (fun () -> Analysis.of_file source) in
   let cold_dir = Filename.concat dir (label ^ ".cold") in
   let clear_cold () =
     if Sys.file_exists cold_dir then
@@ -812,11 +814,11 @@ let incr_measure ~dir ~name ~label ~edit =
         (Sys.readdir cold_dir)
   in
   let _, t_cold =
-    min_time ~prepare:clear_cold (fun () ->
+    best_of incr_repeats ~prepare:clear_cold (fun () ->
         Persist.analyze_cached ~cache_dir:cold_dir source)
   in
   let (incr, _), t_incr =
-    min_time
+    best_of incr_repeats
       ~prepare:(fun () -> write_file entry_file entry_bytes)
       (fun () -> Persist.analyze_cached ~cache_dir:dir ~incremental:true source)
   in
@@ -1132,15 +1134,6 @@ type demand_row = {
 
 let demand_repeats = 3
 
-let demand_min_time f =
-  let best = ref infinity and last = ref None in
-  for _ = 1 to demand_repeats do
-    let v, t = time f in
-    last := Some v;
-    if t < !best then best := t
-  done;
-  (Option.get !last, !best)
-
 (** One demand-vs-exhaustive row. The seed stands in for "a query about
     one function": the defined non-entry function with the smallest
     slice (ties to program order) — the best case a single query can
@@ -1168,10 +1161,10 @@ let demand_measure name =
     | None -> ("main", slice_of "main")
   in
   let exh, t_exh =
-    demand_min_time (fun () -> Analysis.analyze (Simple_ir.Simplify.of_file source))
+    best_of demand_repeats (fun () -> Analysis.analyze (Simple_ir.Simplify.of_file source))
   in
   let dem, t_demand =
-    demand_min_time (fun () ->
+    best_of demand_repeats (fun () ->
         let d = Alias.Demand_driver.prepare (Simple_ir.Simplify.of_file source) in
         Alias.Demand_driver.analyze d ~seed)
   in

@@ -35,9 +35,9 @@ type result = {
       (** [Some _] when the budget blew and these tables come from the
           widened (context-insensitive, possible-only) rerun *)
   summaries : Engine.summaries;
-      (** per-(function, input) summaries recorded during the run when
-          [record_summaries] was set (empty otherwise); what {!Persist}
-          writes into the summary section for incremental
+      (** the (function, input) summaries this run evaluated or replayed
+          when [record_summaries] was set (empty otherwise); what
+          {!Persist} writes into the summary section for incremental
           re-analysis *)
 }
 
@@ -100,7 +100,7 @@ let checkpoint_of (ctx : Engine.ctx) (graph : Ig.t) : ci_seed =
               (fun e -> note name (Some e.Engine.se_in) (Some e.Engine.se_out))
               entries)
           by_hash)
-      ctx.Engine.summaries;
+      (Engine.run_summaries ctx);
   Ig.fold
     (fun () node -> note node.Ig.func node.Ig.stored_input node.Ig.stored_output)
     () graph;
@@ -179,7 +179,7 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
     metrics = Metrics.snapshot ();
     degraded;
     summaries =
-      (if record_summaries then ctx.Engine.summaries else Engine.summaries_create ());
+      (if record_summaries then Engine.run_summaries ctx else Engine.summaries_create ());
   }
 
 let analyze ?(opts = Options.default) ?(entry = "main") ?budget

@@ -46,10 +46,11 @@ type result = {
           rerun — still sound: every degraded table is a superset of
           what the precise run would have computed (docs/ROBUSTNESS.md) *)
   summaries : Engine.summaries;
-      (** per-(function, input) summaries recorded when [analyze] was
-          called with [~record_summaries:true] (empty otherwise); the
-          payload of {!Persist}'s summary section, replayed by later
-          incremental runs (docs/INCREMENTAL.md) *)
+      (** the (function, input) summaries the run evaluated or replayed,
+          when [analyze] was called with [~record_summaries:true] (empty
+          otherwise): the payload of {!Persist}'s summary section,
+          replayed by later incremental runs (docs/INCREMENTAL.md).
+          Seeded summaries the run never reached are not in it *)
 }
 
 (** Initial set for the entry function: global and local pointers
@@ -73,8 +74,10 @@ exception No_entry of string
     [record_summaries] makes the engine record a replayable summary per
     evaluated (function, input) pair into [result.summaries]; [seeded]
     supplies summaries from a previous run to replay instead of
-    re-evaluating (both default off — see docs/INCREMENTAL.md). The
-    widened rerun of a degraded analysis never records or replays.
+    re-evaluating: they start the run's summary table, which is copied,
+    never mutated, and consulted only under [share_contexts] (both
+    default off — see docs/INCREMENTAL.md). The widened rerun of a
+    degraded analysis never records or replays.
 
     @raise Guard.Cancelled if the driver cancelled this task
     ({!Pool} timeout) — never degraded, the caller gave up. *)
@@ -89,8 +92,8 @@ val analyze :
 
 (** Demand-driven run over a {!Demand.plan}'s slice: the invocation
     graph is built only within the slice, defined callees outside it are
-    answered by summary replay (from [seeded], when a matching entry
-    exists) or by the widened skip transfer, and only the seed
+    answered by the output of a matching summary (from [seeded], under
+    [share_contexts]) or by the widened skip transfer, and only the seed
     function's statement rows are recorded. For every statement of the
     plan's seed the recorded row is bit-identical to [analyze]'s — the
     argument is in docs/DEMAND.md; rows of other statements are absent.

@@ -94,10 +94,11 @@ type ctx = {
           recorded [stmt_pts] are identical to the unmemoized walk *)
   mutable ci_changed : bool;
   summaries : summaries;
-      (** every completed (function, input) evaluation of this run, and
-          every seeded entry it replayed: the §6 sub-tree-sharing memo
-          (consulted under [share_contexts]) and, when recording, the
-          summary DAG {!Persist} writes *)
+      (** the run's one summary table: the seeded entries it started
+          from, plus every completed (function, input) evaluation of this
+          run. Consulted under [share_contexts], where a hit is a §6 memo
+          hit or, on a seeded entry not yet [applied], a replay; its
+          {!run_summaries} view is the summary DAG {!Persist} writes *)
   mutable share_hits : int;
   mutable bodies_analyzed : int;
       (** number of times any function body was (re)processed *)
@@ -105,28 +106,36 @@ type ctx = {
   record_summaries : bool;
       (** give every {!summary_entry} its frame, so {!Persist} can write
           the summary section *)
-  seeded : summaries;
-      (** entries loaded from a previous run's persisted summaries for
-          functions whose code (and whole direct-call closure) is
-          unchanged; consulted on a share-memo miss *)
   mutable frame : frame option;  (** the innermost in-flight evaluation's frame *)
   node_entry : (int, summary_entry) Hashtbl.t;
       (** when recording: the entry that last answered each
           invocation-graph node, referenced again when the node is
           reused with the same input *)
   applied : (int, unit) Hashtbl.t;
-      (** ids of the seeded entries whose rows are already in
-          [stmt_pts]: a replay applies each entry at most once *)
+      (** ids of the entries whose rows are already in [stmt_pts]: those
+          this run evaluated, and the seeded ones a replay applied (each
+          at most once). Entries without a frame share id -1, and are
+          only ever evaluated ones *)
   demand : Demand.plan option;
       (** demand mode (docs/DEMAND.md): when set, calls to defined
           functions outside the plan's slice are answered without
-          evaluation (seeded-summary replay when available, the widened
-          transfer otherwise), only the seed function's statement rows
-          are recorded, and every evaluated indirect site re-checks the
-          plan's oracle — a target it did not predict raises
+          evaluation (the output of a matching table entry when there is
+          one, the widened transfer otherwise), only the seed function's
+          statement rows are recorded, and every evaluated indirect site
+          re-checks the plan's oracle — a target it did not predict raises
           {!Demand.Oracle_miss} *)
 }
 
+(** Copy of [seeded]'s per-function index, sharing its entries: the
+    run adds to its copy, never to a table other runs read. *)
+let copy_index (seeded : summaries) : summaries =
+  let t = Hashtbl.create (Hashtbl.length seeded) in
+  Hashtbl.iter (fun fn by_hash -> Hashtbl.replace t fn (Hashtbl.copy by_hash)) seeded;
+  t
+
+(** [seeded] becomes the starting contents of the run's table; only
+    [share_contexts] consults the table, so without it nothing is
+    seeded. *)
 let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) : ctx =
   {
     tenv;
@@ -139,11 +148,13 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
     ci_in_flight = Hashtbl.create 16;
     ci_done = Hashtbl.create 16;
     ci_changed = false;
-    summaries = summaries_create ();
+    summaries =
+      (match seeded with
+      | Some s when tenv.Tenv.opts.Options.share_contexts -> copy_index s
+      | Some _ | None -> summaries_create ());
     share_hits = 0;
     bodies_analyzed = 0;
     record_summaries;
-    seeded = (match seeded with Some s -> s | None -> summaries_create ());
     frame = None;
     node_entry = Hashtbl.create 16;
     applied = Hashtbl.create 16;
@@ -279,37 +290,46 @@ let finish_evaluation ctx (node : Ig.node) fname input ~parent =
             make_entry ~rows:fr.fr_rows ~kids fname input out
       in
       let held = summaries_add ctx.summaries fname e in
-      if held == e then consumed ctx node e
+      if held == e then begin
+        Hashtbl.replace ctx.applied e.se_id ();
+        consumed ctx node e
+      end
       else if ctx.record_summaries then begin
         Option.iter (inline parent) frame;
         Hashtbl.replace ctx.node_entry node.Ig.id held
       end
 
-(** The §6 sub-tree-sharing memo: a completed evaluation of [fname] on
-    exactly [input]. *)
-let shared_lookup ctx fname (input : Pts.t) : summary_entry option =
-  if not ctx.opts.Options.share_contexts then None
-  else begin
-    Metrics.((cur ()).memo_lookups <- (cur ()).memo_lookups + 1);
-    summaries_find ctx.summaries fname input
-  end
-
 (** Replay: merge the rows of the seeded DAG below [e] into the live
-    table, skipping entries an earlier replay of this run already
-    applied (the merge is an idempotent least upper bound, so once is
-    exact), and adopt every visited entry into the run's table, where
-    the memo answers later lookups and {!Persist} finds it. Returns the
-    number of entries applied. *)
+    table, skipping entries this run already applied or evaluated (the
+    merge is an idempotent least upper bound, so once is exact). Returns
+    the number of entries applied. *)
 let apply_entry ctx (e : summary_entry) : int =
   let n = ref 0 in
   iter_dag ~seen:ctx.applied
     (fun e ->
       incr n;
       if ctx.opts.Options.record_stats then
-        Hashtbl.iter (merge_into_tbl ctx.stmt_pts) e.se_rows;
-      ignore (summaries_add ctx.summaries e.se_fn e))
+        Hashtbl.iter (merge_into_tbl ctx.stmt_pts) e.se_rows)
     e;
   !n
+
+(** The entries of the table this run evaluated or applied: what
+    {!Persist} saves and a degradation checkpoint reads. Seeded entries
+    the run never reached stay out. *)
+let run_summaries ctx : summaries =
+  let out = summaries_create () in
+  Hashtbl.iter
+    (fun fn by_hash ->
+      let live = Hashtbl.create (Hashtbl.length by_hash) in
+      Hashtbl.iter
+        (fun h es ->
+          match List.filter (fun e -> Hashtbl.mem ctx.applied e.se_id) es with
+          | [] -> ()
+          | es -> Hashtbl.replace live h es)
+        by_hash;
+      if Hashtbl.length live > 0 then Hashtbl.replace out fn live)
+    ctx.summaries;
+  out
 
 (* ------------------------------------------------------------------ *)
 (* Basic statement rule (Figure 1, process_basic_stmt)                *)
@@ -482,6 +502,10 @@ let demand_widen ctx (callee_fn : Ir.func) (func_input : Pts.t) : Pts.t =
              (widen_src (Lazy.force wide_row) (Loc.ret callee_fn.Ir.fn_name) !out);
   !out
 
+(** Is [t] a struct or union with pointer cells (passed and returned
+    cell by cell)? *)
+let su_ptr ctx t = Ctype.is_su t && Ctype.carries_pointers (Tenv.layouts ctx.tenv) t
+
 (* ------------------------------------------------------------------ *)
 (* Statement processing                                               *)
 (* ------------------------------------------------------------------ *)
@@ -538,10 +562,7 @@ and process_stmt ctx fn node (input : Pts.state) (stmt : Ir.stmt) : flow =
                   let rvals = Lval.rvals_operand ctx.tenv fn s op in
                   apply_assign ctx s lhs rvals
                 end
-                else if
-                  Ctype.is_su ret_ty
-                  && Ctype.carries_pointers (Tenv.layouts ctx.tenv) ret_ty
-                then begin
+                else if su_ptr ctx ret_ty then begin
                   (* aggregate return: copy each pointer cell of the value
                      into the matching cell of the return slot *)
                   match op with
@@ -672,33 +693,60 @@ and actual_of_operand ctx fn (s : Pts.t) (pty : Ctype.t option) (op : Ir.operand
   | Ir.Onull | Ir.Oconst _ -> Map_unmap.Aother
   | Ir.Ostr -> Map_unmap.Aptr (Lval.of_list [ (Loc.Str, Pts.P) ])
 
+(** Map the caller state [s] into [callee_fn] at a call with [args]
+    (Figure 4's map): the callee input and the map information unmap
+    needs. Arguments beyond the parameter list have unknown types. *)
+and map_args ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.operand list) =
+  let param_tys = List.map (fun (_, t) -> Some t) callee_fn.Ir.fn_params in
+  let param_tys =
+    if List.length args <= List.length param_tys then param_tys
+    else param_tys @ List.init (List.length args - List.length param_tys) (fun _ -> None)
+  in
+  let actuals =
+    List.map2 (fun pty op -> actual_of_operand ctx caller_fn s pty op) param_tys args
+  in
+  Map_unmap.map_call ctx.tenv ~caller_fn ~callee:callee_fn ~input:s ~actuals
+
+(** Unmap the callee output [out] back into the caller state [s] (Figure
+    4's unmap): the caller-side output, the return-value targets, and
+    the returned cells of an aggregate result. *)
+and unmap_result ctx ~merged (s : Pts.t) (callee_fn : Ir.func) info (out : Pts.t) =
+  let callee = callee_fn.Ir.fn_name in
+  let result = Map_unmap.unmap_call ~callee ~merged ctx.tenv ~input:s ~output:out ~info in
+  let ret_tgts = Map_unmap.return_targets ~output:out ~info ~callee in
+  let ret_cells =
+    if su_ptr ctx callee_fn.Ir.fn_ret then
+      Map_unmap.return_cell_targets ~output:out ~info ~callee
+    else []
+  in
+  (Some result, ret_tgts, ret_cells)
+
 (** Answer a call to a defined function outside the demand slice
-    without evaluating it: map the input, replay a seeded summary when
-    one matches the mapped input (exact), otherwise apply the widened
-    transfer, and unmap — no invocation-graph child is created and no
-    body is processed. By plan construction the imprecision cannot flow
-    into the recorded (seed) rows. *)
+    without evaluating it: map the input, take the output of the
+    summary table's entry when one matches the mapped input (exact),
+    otherwise apply the widened transfer, and unmap — no
+    invocation-graph child is created and no body is processed. By plan
+    construction the imprecision cannot flow into the recorded (seed)
+    rows. *)
 and demand_skip ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.operand list) :
     Pts.state * (Loc.t * Pts.cert) list * ((Loc.t -> Loc.t) * (Loc.t * Pts.cert) list) list
     =
   let fname = callee_fn.Ir.fn_name in
   let m = Metrics.cur () in
-  let su_ptr t =
-    Ctype.is_su t && Ctype.carries_pointers (Tenv.layouts ctx.tenv) t
-  in
   let fast =
-    (not (Hashtbl.mem ctx.seeded fname))
-    && (not (su_ptr callee_fn.Ir.fn_ret))
-    && List.for_all (fun (_, t) -> not (su_ptr t)) callee_fn.Ir.fn_params
+    (not (Hashtbl.mem ctx.summaries fname))
+    && (not (su_ptr ctx callee_fn.Ir.fn_ret))
+    && List.for_all (fun (_, t) -> not (su_ptr ctx t)) callee_fn.Ir.fn_params
     && List.length args <= List.length callee_fn.Ir.fn_params
   in
   if fast then begin
-    (* no seeded summary can match and no pointer-carrying struct flows
-       through the call: widen the caller's state in place over the
-       cells the callee can see — the same closure {!Map_unmap.map_call}
-       would compute (globals plus everything reachable from the
-       actuals) — and spare the map/unmap round trip that otherwise
-       dominates the cost of a skip *)
+    (* no summary can match (a skipped function is never evaluated, so
+       only a loaded one could be in the table) and no pointer-carrying
+       struct flows through the call: widen the caller's state in place
+       over the cells the callee can see — the same closure
+       {!Map_unmap.map_call} would compute (globals plus everything
+       reachable from the actuals) — and spare the map/unmap round trip
+       that otherwise dominates the cost of a skip *)
     m.Metrics.demand_skipped <- m.Metrics.demand_skipped + 1;
     let visible () =
       let seen = ref Loc.Set.empty in
@@ -750,19 +798,9 @@ and demand_skip ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.opera
     (Some out, ret_tgts, [])
   end
   else begin
-    let param_tys = List.map (fun (_, t) -> Some t) callee_fn.Ir.fn_params in
-    let param_tys =
-      if List.length args <= List.length param_tys then param_tys
-      else param_tys @ List.init (List.length args - List.length param_tys) (fun _ -> None)
-    in
-    let actuals =
-      List.map2 (fun pty op -> actual_of_operand ctx caller_fn s pty op) param_tys args
-    in
-    let func_input, info =
-      Map_unmap.map_call ctx.tenv ~caller_fn ~callee:callee_fn ~input:s ~actuals
-    in
+    let func_input, info = map_args ctx caller_fn s callee_fn args in
     let out =
-      match summaries_find ctx.seeded fname func_input with
+      match summaries_find ctx.summaries fname func_input with
       | Some e ->
           m.Metrics.demand_replays <- m.Metrics.demand_replays + 1;
           e.se_out
@@ -770,17 +808,7 @@ and demand_skip ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.opera
           m.Metrics.demand_skipped <- m.Metrics.demand_skipped + 1;
           demand_widen ctx callee_fn func_input
     in
-    let result =
-      Map_unmap.unmap_call ~callee:fname ~merged:true ctx.tenv ~input:s ~output:out
-        ~info
-    in
-    let ret_tgts = Map_unmap.return_targets ~output:out ~info ~callee:fname in
-    let ret_cells =
-      if su_ptr callee_fn.Ir.fn_ret then
-        Map_unmap.return_cell_targets ~output:out ~info ~callee:fname
-      else []
-    in
-    (Some result, ret_tgts, ret_cells)
+    unmap_result ctx ~merged:true s callee_fn info out
   end
 
 and process_call_stmt ctx fn node (s : Pts.t) (stmt : Ir.stmt) lhs callee args : flow =
@@ -897,8 +925,7 @@ and finish_call ctx fn _node (out : Pts.state) (ret_tgts : (Loc.t * Pts.cert) li
             (* aggregate result: bind each returned cell onto the matching
                cell of the destination *)
             match Tenv.vref_type ctx.tenv fn lref with
-            | Some ty
-              when Ctype.is_su ty && Ctype.carries_pointers (Tenv.layouts ctx.tenv) ty ->
+            | Some ty when su_ptr ctx ty ->
                 let lhs_locs = Lval.to_list (Lval.lvals ctx.tenv fn s lref) in
                 let s =
                   List.fold_left
@@ -922,17 +949,7 @@ and finish_call ctx fn _node (out : Pts.state) (ret_tgts : (Loc.t * Pts.cert) li
 and invoke ctx caller_fn (child : Ig.node) (s : Pts.t) (callee_fn : Ir.func)
     (args : Ir.operand list) :
     Pts.state * (Loc.t * Pts.cert) list * ((Loc.t -> Loc.t) * (Loc.t * Pts.cert) list) list =
-  let param_tys = List.map (fun (_, t) -> Some t) callee_fn.Ir.fn_params in
-  let param_tys =
-    if List.length args <= List.length param_tys then param_tys
-    else param_tys @ List.init (List.length args - List.length param_tys) (fun _ -> None)
-  in
-  let actuals =
-    List.map2 (fun pty op -> actual_of_operand ctx caller_fn s pty op) param_tys args
-  in
-  let func_input, info =
-    Map_unmap.map_call ctx.tenv ~caller_fn ~callee:callee_fn ~input:s ~actuals
-  in
+  let func_input, info = map_args ctx caller_fn s callee_fn args in
   child.Ig.map_info <-
     Loc.Map.fold (fun k v acc -> (k, v) :: acc) info.Map_unmap.i_reps [];
   let output : Pts.state =
@@ -942,21 +959,7 @@ and invoke ctx caller_fn (child : Ig.node) (s : Pts.t) (callee_fn : Ir.func)
   match output with
   | None -> (Pts.bot, [], [])
   | Some out ->
-      let result =
-        Map_unmap.unmap_call ~callee:callee_fn.Ir.fn_name
-          ~merged:(not ctx.opts.Options.context_sensitive) ctx.tenv ~input:s
-          ~output:out ~info
-      in
-      let ret_tgts = Map_unmap.return_targets ~output:out ~info ~callee:callee_fn.Ir.fn_name in
-      let ret_cells =
-        if
-          Ctype.is_su callee_fn.Ir.fn_ret
-          && Ctype.carries_pointers (Tenv.layouts ctx.tenv) callee_fn.Ir.fn_ret
-        then
-          Map_unmap.return_cell_targets ~output:out ~info ~callee:callee_fn.Ir.fn_name
-        else []
-      in
-      (Some result, ret_tgts, ret_cells)
+      unmap_result ctx ~merged:(not ctx.opts.Options.context_sensitive) s callee_fn info out
 
 (** Evaluate (or reuse) the invocation represented by [node] with the
     given mapped input — the Ordinary/Approximate/Recursive rules of
@@ -982,19 +985,41 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
             Option.iter (consumed ctx node) (Hashtbl.find_opt ctx.node_entry node.Ig.id);
           node.Ig.stored_output
       | _ -> (
-          (* §6 sub-tree sharing: another context of the same function may
-             already have been analyzed with an identical input *)
-          match shared_lookup ctx callee_fn.Ir.fn_name func_input with
+          (* one table answers both: §6 sub-tree sharing, when another
+             context of the same function was already analyzed (or
+             replayed) with an identical input, and replay of a seeded
+             summary this run has not applied yet. Only functions whose
+             whole direct-call closure is unchanged, and free of indirect
+             call sites, are ever seeded (docs/INCREMENTAL.md), so a
+             replay is bit-identical to the evaluation it skips and
+             creates no invocation-graph nodes, exactly like that
+             evaluation would not have under sub-tree sharing. *)
+          let hit =
+            if not ctx.opts.Options.share_contexts then None
+            else begin
+              Metrics.((cur ()).memo_lookups <- (cur ()).memo_lookups + 1);
+              summaries_find ctx.summaries callee_fn.Ir.fn_name func_input
+            end
+          in
+          match hit with
           | Some e ->
-              ctx.share_hits <- ctx.share_hits + 1;
-              Metrics.((cur ()).memo_hits <- (cur ()).memo_hits + 1);
+              if Hashtbl.mem ctx.applied e.se_id then begin
+                ctx.share_hits <- ctx.share_hits + 1;
+                Metrics.((cur ()).memo_hits <- (cur ()).memo_hits + 1)
+              end
+              else begin
+                let tr0 = Trace.start () in
+                ignore (apply_entry ctx e);
+                Metrics.((cur ()).incr_funcs_reused <- (cur ()).incr_funcs_reused + 1);
+                if Trace.on () then
+                  Trace.emit Trace.Replay ~name:callee_fn.Ir.fn_name
+                    ~ctx:(Pts.hash func_input) ~pts_in:(Pts.cardinal func_input)
+                    ~pts_out:(Pts.cardinal e.se_out) ~t0:tr0 ()
+              end;
               node.Ig.stored_input <- Some func_input;
               node.Ig.stored_output <- Some e.se_out;
               consumed ctx node e;
               Some e.se_out
-          | None -> (
-          match seeded_replay ctx node callee_fn func_input with
-          | Some _ as out -> out
           | None ->
               let tr0 = Trace.start () in
               node.Ig.stored_input <- Some func_input;
@@ -1013,8 +1038,6 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                 let cur_input =
                   match node.Ig.stored_input with Some s -> s | None -> func_input
                 in
-                ctx.bodies_analyzed <- ctx.bodies_analyzed + 1;
-                Metrics.((cur ()).bodies <- (cur ()).bodies + 1);
                 let tb0 = Trace.start () in
                 let fl =
                   process_stmts ctx callee_fn node (Some cur_input) callee_fn.Ir.fn_body
@@ -1023,6 +1046,9 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                 (match func_output with
                 | Some o -> Guard.check_size ctx.guard (Pts.cardinal o)
                 | None -> ());
+                (* counted with its span: a pass a budget trip unwinds is neither *)
+                ctx.bodies_analyzed <- ctx.bodies_analyzed + 1;
+                Metrics.((cur ()).bodies <- (cur ()).bodies + 1);
                 if Trace.on () then
                   Trace.emit Trace.Body ~name:callee_fn.Ir.fn_name
                     ~ctx:(Pts.hash cur_input) ~pts_in:(Pts.cardinal cur_input)
@@ -1060,31 +1086,7 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                     | Some o -> Pts.cardinal o
                     | None -> -1)
                   ~t0:tr0 ();
-              node.Ig.stored_output)))
-
-(** Serve one (function, input) evaluation from a persisted summary:
-    replay its recorded frame into the live tables, adopt its output,
-    and skip the body fixpoint entirely. Only functions whose whole
-    direct-call closure is unchanged — and free of indirect call sites —
-    are ever seeded (docs/INCREMENTAL.md), so the replay is
-    bit-identical to what the skipped evaluation would have computed and
-    creates no invocation-graph nodes, exactly like the skipped
-    evaluation would not have under sub-tree sharing. *)
-and seeded_replay ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) :
-    Pts.state =
-  match summaries_find ctx.seeded callee_fn.Ir.fn_name func_input with
-  | None -> None
-  | Some e ->
-      let tr0 = Trace.start () in
-      ignore (apply_entry ctx e);
-      consumed ctx node e;
-      node.Ig.stored_input <- Some func_input;
-      node.Ig.stored_output <- Some e.se_out;
-      Metrics.((cur ()).incr_funcs_reused <- (cur ()).incr_funcs_reused + 1);
-      if Trace.on () then
-        Trace.emit Trace.Replay ~name:callee_fn.Ir.fn_name ~ctx:(Pts.hash func_input)
-          ~pts_in:(Pts.cardinal func_input) ~pts_out:(Pts.cardinal e.se_out) ~t0:tr0 ();
-      Some e.se_out
+              node.Ig.stored_output))
 
 (** Context-insensitive ablation: one merged IN/OUT pair per function;
     convergence is reached by the driver re-running the whole program
@@ -1121,6 +1123,8 @@ and eval_ci ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : Pt
     let tb0 = Trace.start () in
     let fl = process_stmts ctx callee_fn node (Some new_in) callee_fn.Ir.fn_body in
     Hashtbl.remove ctx.ci_in_flight name;
+    ctx.bodies_analyzed <- ctx.bodies_analyzed + 1;
+    Metrics.((cur ()).bodies <- (cur ()).bodies + 1);
     let out = Pts.merge_state fl.normal fl.ret in
     if Trace.on () then
       Trace.emit Trace.Body ~name ~pts_in:(Pts.cardinal new_in)

@@ -40,7 +40,7 @@ type t = {
   mutable rec_iters : int;
       (** re-evaluations forced by the recursion fixed point (Figure 4)
           and by pending approximate-node inputs *)
-  mutable bodies : int;  (** function-body passes *)
+  mutable bodies : int;  (** completed function-body passes, one [Body] span each *)
   (* §6 sub-tree sharing memo *)
   mutable memo_lookups : int;
   mutable memo_hits : int;

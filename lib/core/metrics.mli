@@ -23,7 +23,7 @@ type t = {
   mutable gens : int;
   mutable loop_iters : int;  (** loop-head fixed-point iterations *)
   mutable rec_iters : int;  (** recursion / pending re-evaluations *)
-  mutable bodies : int;  (** function-body passes *)
+  mutable bodies : int;  (** completed function-body passes, one [Body] span each *)
   mutable memo_lookups : int;  (** §6 sub-tree sharing lookups *)
   mutable memo_hits : int;
   mutable map_calls : int;

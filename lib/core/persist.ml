@@ -1226,34 +1226,39 @@ let rekey_file ~data ~newkey file =
         Sys.rename tmp file)
   with Bad | Sys_error _ | Failure _ | End_of_file -> ()
 
+(* Summaries replay only under the context-sensitive engine, through
+   the §6 memo's table ([share_contexts]), and without [heap_by_site],
+   which names heap objects by (position-dependent) statement id. *)
+let replays (opts : Options.t) =
+  opts.Options.context_sensitive && opts.Options.share_contexts
+  && not opts.Options.heap_by_site
+
+(* The summaries of [raw] a run over [prog] may replay, and the number
+   of dirty functions: the entries of {!eligible_funcs}, or [None] when
+   the options do not replay, the environment changed or the blocks do
+   not decode. *)
+let replayable ~opts ~entry (prog : Ir.program) (raw : raw_summaries) :
+    (Engine.summaries * int) option =
+  if not (replays opts && String.equal raw.rs_env (env_hash ~opts ~entry prog)) then None
+  else begin
+    let old_hashes = Hashtbl.create 64 in
+    List.iter (fun (n, d) -> Hashtbl.replace old_hashes n d) raw.rs_hashes;
+    let elig = eligible_funcs prog ~old_hashes in
+    match bind_summaries ~keep:(Hashtbl.mem elig) prog raw with
+    | exception Bad -> None
+    | seeded -> Some (seeded, List.length prog.Ir.funcs - Hashtbl.length elig)
+  end
+
 let load_summaries ~cache_dir ~source ~opts ?(entry = "main")
     (prog : Ir.program) : Engine.summaries option =
-  (* same gate as [analyze_cached_incr]: summaries only replay under the
-     seedable engine modes *)
-  if not (opts.Options.context_sensitive && not opts.Options.heap_by_site) then None
-  else
-    let file = cache_file_incr ~cache_dir ~source ~opts ~entry in
-    match load_incr ~source ~opts ~entry file with
-    | L_missing | L_corrupt -> None
-    | L_hit (_, raw) | L_partial (_, raw, _) ->
-        if not (String.equal raw.rs_env (env_hash ~opts ~entry prog)) then None
-        else begin
-          let old_hashes = Hashtbl.create 64 in
-          List.iter (fun (n, d) -> Hashtbl.replace old_hashes n d) raw.rs_hashes;
-          let keep = Hashtbl.mem (eligible_funcs prog ~old_hashes) in
-          match bind_summaries ~keep prog raw with
-          | exception Bad -> None
-          | seeded -> Some seeded
-        end
+  let file = cache_file_incr ~cache_dir ~source ~opts ~entry in
+  match load_incr ~source ~opts ~entry file with
+  | L_missing | L_corrupt -> None
+  | L_hit (_, raw) | L_partial (_, raw, _) ->
+      Option.map fst (replayable ~opts ~entry prog raw)
 
 let analyze_cached_incr ~dir ~opts ~entry ?budget source : Analysis.result * bool =
   let file = cache_file_incr ~cache_dir:dir ~source ~opts ~entry in
-  (* summaries replay only under the context-sensitive engine, and
-     [heap_by_site] names heap objects by (position-dependent) statement
-     id — both fall back to recording-only runs *)
-  let seedable =
-    opts.Options.context_sensitive && not opts.Options.heap_by_site
-  in
   let quarantined = ref 0 in
   let t0 = Metrics.now () in
   match load_incr ~source ~opts ~entry file with
@@ -1285,9 +1290,9 @@ let analyze_cached_incr ~dir ~opts ~entry ?budget source : Analysis.result * boo
          persisted string can embed a shifted source position), the old
          body is still exactly the answer — only the header key is
          stale. Serve it as a hit without touching the engine. The
-         hash-based gate additionally needs the seedable engine modes:
-         [heap_by_site] names heap objects by statement id, which the
-         hashes deliberately blank. *)
+         hash-based gate additionally needs the context-sensitive
+         engine without [heap_by_site]: allocation sites are named by
+         statement id, which the hashes deliberately blank. *)
       let rekey =
         match partial with
         | Some (old_res, raw, mykey) ->
@@ -1305,7 +1310,7 @@ let analyze_cached_incr ~dir ~opts ~entry ?budget source : Analysis.result * boo
                    raw.rs_hashes prog.Ir.funcs
             in
             if
-              (seedable
+              (opts.Options.context_sensitive && (not opts.Options.heap_by_site)
               && old_res.Analysis.warnings = []
               && hashes_identical ())
               || prog_identical ()
@@ -1333,30 +1338,24 @@ let analyze_cached_incr ~dir ~opts ~entry ?budget source : Analysis.result * boo
             res.Analysis.metrics.Metrics.t_deserialize +. (Metrics.now () -. t0);
           (res, true)
       | None ->
-          let raw = Option.map (fun (_, raw, _) -> raw) partial in
+          let td0 = Trace.start () in
           let dirty, seeded =
-            match raw with
-            | Some raw
-              when seedable && String.equal raw.rs_env (env_hash ~opts ~entry prog) ->
-                let td0 = Trace.start () in
-                let old_hashes = Hashtbl.create 64 in
-                List.iter (fun (n, d) -> Hashtbl.replace old_hashes n d) raw.rs_hashes;
-                let elig = eligible_funcs prog ~old_hashes in
-                let dirty = n_defined - Hashtbl.length elig in
-                (match bind_summaries ~keep:(Hashtbl.mem elig) prog raw with
-                | exception Bad -> (n_defined, None)
-                | seeded ->
-                    if Trace.on () then
-                      Trace.emit Trace.Dirty ~name:(Filename.basename source)
-                        ~stmts:dirty ~t0:td0 ();
-                    (dirty, Some seeded))
-            | Some _ | None ->
+            match
+              Option.bind partial (fun (_, raw, _) -> replayable ~opts ~entry prog raw)
+            with
+            | Some (seeded, dirty) ->
+                if Trace.on () then
+                  Trace.emit Trace.Dirty ~name:(Filename.basename source) ~stmts:dirty
+                    ~t0:td0 ();
+                (dirty, Some seeded)
+            | None ->
                 (* nothing usable (or the globals / layouts / externals /
                    options changed): everything is dirty *)
                 (n_defined, None)
           in
           let res =
-            Analysis.analyze ~opts ~entry ?budget ~record_summaries:seedable ?seeded prog
+            Analysis.analyze ~opts ~entry ?budget ~record_summaries:(replays opts) ?seeded
+              prog
           in
           (Metrics.cur ()).Metrics.incr_funcs_dirty <- dirty;
           res.Analysis.metrics.Metrics.incr_funcs_dirty <- dirty;

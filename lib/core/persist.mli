@@ -131,9 +131,10 @@ val eligible_funcs :
     current lowering of [source]) — what a demand-driven run replays at
     calls it skips ({!Analysis.analyze_demand}; docs/DEMAND.md). [None]
     when there is no usable entry: missing or corrupt file, changed
-    environment (globals, layouts, options), or a non-seedable engine
-    mode (context-insensitive, [heap_by_site]). Unlike [analyze_cached]
-    this never runs the analysis and never writes. *)
+    environment (globals, layouts, options), or an engine mode that does
+    not replay (context-insensitive, no [share_contexts], [heap_by_site]).
+    Unlike [analyze_cached] this never runs the analysis and never
+    writes. *)
 val load_summaries :
   cache_dir:string ->
   source:string ->
@@ -164,7 +165,9 @@ val load_summaries :
     source is a full hit as before; after an edit, only the dirty slice
     re-runs and the rest replays from the persisted summaries
     (bit-identical tables, [incr_funcs_dirty] / [incr_funcs_reused]
-    metrics). Defaults to [false]. *)
+    metrics). Modes that do not replay (see {!load_summaries}) record
+    nothing either, and keep the entry as a plain cache. Defaults to
+    [false]. *)
 val analyze_cached :
   ?cache_dir:string ->
   ?opts:Options.t ->

@@ -3,7 +3,8 @@
 # every query flavor (pts / alias / calls, plus the error paths) must
 # print byte-for-byte what the exhaustive engine prints, one-shot and
 # in batch, on a function-pointer fixture and across the benchmark
-# suite. Then regenerate the machine-readable trajectory
+# suite, and in batch over the summaries of an incremental cache entry,
+# before and after an edit. Then regenerate the machine-readable trajectory
 # (`bench --json BENCH_demand.json`), whose own gates enforce seed-row
 # bit-identity on all 18 programs and demand beating exhaustive cold on
 # at least 14 of them. Run from the repository root after `dune build`;
@@ -91,7 +92,39 @@ for f in benchmarks/*.c; do
 done
 echo "demand_smoke: benchmark sweep — all replies identical under --demand"
 
-# ---- 4. the machine-readable trajectory -------------------------------
+# ---- 4. demand over the incremental cache's summaries -----------------
+# With --incremental and a cache, skipped callees (and unchanged callees
+# inside the slice) are answered from the summaries the cache entry
+# holds. Fill the entry, answer a batch over every statement, then edit
+# one function and answer again: each time the replies must match the
+# exhaustive ones on the current text.
+"$ptan" gen --seed 23 --size 1000 --depth 7 --fnptr-density 0 --structs 50 >"$tmp/deep.c"
+"$ptan" analyze "$tmp/deep.c" --incremental --cache-dir "$tmp/cache" >/dev/null
+# one `pts FN sN gp0` per statement, plus `calls sN` at each call
+queries_of() {
+  "$ptan" simple "$1" | awk '
+    /^[A-Za-z].*\)$/ { fn = $0; sub(/\(.*/, "", fn); sub(/.*[ *]/, "", fn); next }
+    /\/\* s[0-9]+ \*\// {
+      match($0, /s[0-9]+ \*\//); sid = substr($0, RSTART, RLENGTH - 3)
+      print "pts " fn " " sid " gp0"
+      if ($0 ~ /f[0-9]+_[0-9]+\(/) print "calls " sid
+    }'
+}
+check_seeded() {
+  queries_of "$tmp/deep.c" >"$tmp/deep_q.txt"
+  "$ptan" batch "$tmp/deep.c" "$tmp/deep_q.txt" --no-cache >"$tmp/seeded_exh.txt" 2>&1 || true
+  "$ptan" batch "$tmp/deep.c" "$tmp/deep_q.txt" --demand --incremental --cache-dir "$tmp/cache" \
+    >"$tmp/seeded_dem.txt" 2>&1 || true
+  diff -u "$tmp/seeded_exh.txt" "$tmp/seeded_dem.txt" \
+    || { echo "demand_smoke: seeded demand diverges ($1)" >&2; exit 1; }
+  echo "demand_smoke: seeded demand ($1) — $(wc -l <"$tmp/seeded_dem.txt") replies identical"
+}
+check_seeded "filled cache"
+awk '{ print } /^int f2_0\(.*\{$/ { print "    int *edited;" }' "$tmp/deep.c" >"$tmp/deep_edit.c"
+mv "$tmp/deep_edit.c" "$tmp/deep.c"
+check_seeded "after editing f2_0"
+
+# ---- 5. the machine-readable trajectory -------------------------------
 # The bench gates internally: seed rows bit-identical on every program,
 # and demand beating exhaustive cold on >= 14/18. A non-zero exit fails
 # the job; the artifact is uploaded by CI.

@@ -31,8 +31,8 @@ let check_slice msg src ~seed expected =
 
 (** Demand rows for [seed] are bit-identical to the exhaustive rows, for
     every statement of [seed]'s body. *)
-let check_rows_identical src (exh : Analysis.result) (d : Dd.t) (fn : Ir.func) =
-  let dem = Dd.analyze d ~seed:fn.Ir.fn_name in
+let check_rows_identical ?seeded src (exh : Analysis.result) (d : Dd.t) (fn : Ir.func) =
+  let dem = Dd.analyze ?seeded d ~seed:fn.Ir.fn_name in
   Ir.fold_func
     (fun () s ->
       let a = Analysis.pts_at exh s.Ir.s_id in
@@ -171,6 +171,69 @@ let identity_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Demand runs over a summary table loaded from the incremental cache *)
+(* ------------------------------------------------------------------ *)
+
+module Engine = Pointsto.Engine
+module Persist = Pointsto.Persist
+
+(** Every entry of a summary table, in a fixed order. *)
+let table_entries (tbl : Engine.summaries) =
+  Hashtbl.fold
+    (fun fn by_hash acc ->
+      Hashtbl.fold (fun h es acc -> List.map (fun e -> (fn, h, e)) es @ acc) by_hash acc)
+    tbl []
+  |> List.sort (fun (f, h, e) (f', h', e') ->
+         compare (f, h, e.Engine.se_id) (f', h', e'.Engine.se_id))
+
+(** Check every seed of [source]'s current text against the exhaustive
+    run, with the summaries the cache in [dir] holds for it; returns how
+    many calls took the seeded path. The loaded table must come out of
+    all those runs holding the same entries, physically. *)
+let check_seeded_demand ~dir source =
+  let prog = Simple_ir.Simplify.of_file source in
+  let seeded =
+    match Persist.load_summaries ~cache_dir:dir ~source ~opts:Pointsto.Options.default prog with
+    | Some t -> t
+    | None -> Alcotest.fail "no summaries loaded"
+  in
+  let before = table_entries seeded in
+  let exh = Analysis.analyze prog in
+  let d = Dd.prepare prog in
+  let used =
+    List.fold_left
+      (fun n fn ->
+        let m = (check_rows_identical ~seeded source exh d fn).Analysis.metrics in
+        n + m.Pointsto.Metrics.demand_replays + m.Pointsto.Metrics.incr_funcs_reused)
+      0 prog.Ir.funcs
+  in
+  let after = table_entries seeded in
+  Alcotest.(check int) "the loaded table keeps its size" (List.length before)
+    (List.length after);
+  Alcotest.(check bool) "the loaded table keeps its entries" true
+    (List.for_all2 (fun (f, h, e) (f', h', e') -> f = f' && h = h' && e == e') before after);
+  used
+
+let seeded_tests =
+  [
+    case "demand rows over a loaded summary table match exhaustive, before and after an edit"
+      (fun () ->
+        Test_incremental.in_temp (fun dir ->
+            let source = Filename.concat dir "deep.c" in
+            let deep = List.assoc "deep" Test_incremental.shapes in
+            Test_incremental.write_file source (Gen.program deep);
+            ignore (Persist.analyze_cached ~cache_dir:dir ~incremental:true source);
+            Alcotest.(check bool) "unedited: some seed takes the seeded path" true
+              (check_seeded_demand ~dir source > 0);
+            let anchor = "int f3_0(int n, int *p) {\n    int r;\n" in
+            Test_incremental.write_file source
+              (Test_incremental.replace_once ~sub:anchor ~by:(anchor ^ "    int *edited;\n")
+                 (Test_incremental.read_file source));
+            Alcotest.(check bool) "edited: some seed takes the seeded path" true
+              (check_seeded_demand ~dir source > 0)));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Random programs (QCheck)                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -273,4 +336,4 @@ let property_tests =
   ]
 
 let suite =
-  ("demand", slice_tests @ identity_tests @ property_tests)
+  ("demand", slice_tests @ identity_tests @ seeded_tests @ property_tests)

@@ -435,6 +435,72 @@ let dag_tests =
                     check_identical what (Analysis.of_file source) r)
                   [ "    q = &r;\n"; "    q = &x;\n" ]))
           shapes);
+    case "a replaying edit saves exactly the summaries a cold run records" (fun () ->
+        let keys (tbl : Engine.summaries) =
+          Hashtbl.fold
+            (fun fn by_hash acc ->
+              Hashtbl.fold
+                (fun _ es acc ->
+                  List.fold_left (fun acc e -> (fn, Pts.to_string e.Engine.se_in) :: acc) acc es)
+                by_hash acc)
+            tbl []
+          |> List.sort compare
+        in
+        let unreached = ref 0 in
+        List.iter
+          (fun (name, knobs) ->
+            in_temp (fun dir ->
+                let source = Filename.concat dir (name ^ ".c") in
+                write_file source (Gen.program knobs);
+                let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+                write_file source (edit_main ~by:"    q = &gv0;\n" (read_file source));
+                let prog = Simple_ir.Simplify.of_file source in
+                let load () =
+                  match
+                    Persist.load_summaries ~cache_dir:dir ~source ~opts:Options.default prog
+                  with
+                  | Some tbl -> keys tbl
+                  | None -> Alcotest.failf "%s: no persisted summaries" name
+                in
+                let seeded = load () in
+                let r, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+                Alcotest.(check bool) (name ^ ": summaries replay") true
+                  (r.Analysis.metrics.Metrics.incr_funcs_reused > 0);
+                let cold = keys (Analysis.analyze ~record_summaries:true prog).Analysis.summaries in
+                Alcotest.(check (list (pair string string)))
+                  (name ^ ": saved keys = cold keys") cold (keys r.Analysis.summaries);
+                unreached :=
+                  !unreached + List.length (List.filter (fun k -> not (List.mem k cold)) seeded);
+                (* read back: the file holds the same keys, restricted
+                   to the functions that may replay *)
+                let old_hashes = Hashtbl.create 64 in
+                List.iter
+                  (fun f -> Hashtbl.replace old_hashes f.Ir.fn_name (Persist.func_hash f))
+                  prog.Ir.funcs;
+                let elig = Persist.eligible_funcs prog ~old_hashes in
+                Alcotest.(check (list (pair string string)))
+                  (name ^ ": reloaded keys = cold keys")
+                  (List.filter (fun (fn, _) -> Hashtbl.mem elig fn) cold)
+                  (load ())))
+          shapes;
+        (* saving the whole table would have carried these along *)
+        Alcotest.(check bool) "some seeded entries go unreached" true (!unreached > 0));
+    case "without context sharing an incremental edit records and replays nothing" (fun () ->
+        let opts = { Options.default with Options.share_contexts = false } in
+        in_temp (fun dir ->
+            let source = Filename.concat dir "cone.c" in
+            write_file source cone_src_v1;
+            let r1, _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+            Alcotest.(check int) "nothing recorded" 0 (Hashtbl.length r1.Analysis.summaries);
+            write_file source cone_src_v2;
+            let r2, hit = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+            Alcotest.(check bool) "miss" false hit;
+            Alcotest.(check int) "nothing replayed" 0
+              r2.Analysis.metrics.Metrics.incr_funcs_reused;
+            let cold = Analysis.of_file ~opts source in
+            check_identical "no sharing" cold r2;
+            Alcotest.(check int) "same body passes" cold.Analysis.bodies_analyzed
+              r2.Analysis.bodies_analyzed));
     case "a diamond's shared callee entry is referenced, not copied, and applied once"
       (fun () ->
         let src =

@@ -102,7 +102,25 @@ let nesting_tests =
         Alcotest.(check int) "one Body span per body pass" r.Analysis.bodies_analyzed bodies;
         let hist = Trace.iteration_histogram spans (Trace.Node, Trace.Body) in
         Alcotest.(check int) "histogram covers all body passes" bodies
-          (List.fold_left (fun acc (n, c) -> acc + (n * c)) 0 hist));
+          (List.fold_left (fun acc (n, c) -> acc + (n * c)) 0 hist);
+        let body_spans spans =
+          List.length (List.filter (fun s -> s.Trace.sp_kind = Trace.Body) spans)
+        in
+        (* the context-insensitive engine's whole-program passes count too *)
+        let opts = { Pointsto.Options.default with Pointsto.Options.context_sensitive = false } in
+        let ci, spans = recording (fun () -> Analysis.analyze ~opts (load_bench "livc")) in
+        Alcotest.(check bool) "insensitive run has body passes" true
+          (ci.Analysis.bodies_analyzed > 0);
+        Alcotest.(check int) "insensitive: one Body span per body pass"
+          ci.Analysis.bodies_analyzed (body_spans spans);
+        Alcotest.(check int) "insensitive: the metric agrees" ci.Analysis.bodies_analyzed
+          ci.Analysis.metrics.Pointsto.Metrics.bodies;
+        (* a degraded run's metric covers the aborted run and the rerun *)
+        let budget = { Pointsto.Guard.no_budget with Pointsto.Guard.b_fuel = Some 1 } in
+        let dg, spans = recording (fun () -> Analysis.analyze ~budget (load_bench "livc")) in
+        Alcotest.(check bool) "fuel 1 degrades" true (dg.Analysis.degraded <> None);
+        Alcotest.(check int) "degraded: one Body span per body pass"
+          dg.Analysis.metrics.Pointsto.Metrics.bodies (body_spans spans));
   ]
 
 (* ------------------------------------------------------------------ *)
