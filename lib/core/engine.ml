@@ -70,6 +70,25 @@ type frame = {
   mutable fr_kids : summary_entry list;
 }
 
+(** What a call returns to its caller: the caller-side output state,
+    the return-value targets, and the returned cells of an aggregate
+    result. *)
+type call_result =
+  Pts.state * (Loc.t * Pts.cert) list * ((Loc.t -> Loc.t) * (Loc.t * Pts.cert) list) list
+
+(** A call site's last translation (docs/ARCHITECTURE.md, call-site
+    memo): the caller state it mapped, the callee input and map
+    information that produced, and the unmap of the callee output it
+    last saw. Map is a function of the caller state alone at a fixed
+    site, and unmap of (caller state, callee output, information), so a
+    repeat with an equal caller state reuses both. *)
+type call_memo = {
+  cm_caller : Pts.t;
+  cm_input : Pts.t;
+  cm_info : Map_unmap.info;
+  mutable cm_unmapped : (Pts.t * call_result) option;
+}
+
 type ctx = {
   tenv : Tenv.t;
   opts : Options.t;
@@ -107,6 +126,11 @@ type ctx = {
       (** give every {!summary_entry} its frame, so {!Persist} can write
           the summary section *)
   mutable frame : frame option;  (** the innermost in-flight evaluation's frame *)
+  mutable calls : (int, call_memo) Hashtbl.t;
+      (** the call-site memo of the innermost in-flight evaluation:
+          each child invocation-graph node's last translation, by node
+          id. Scoped to one evaluation of the parent, whose re-passes
+          (loops, recursion) are where translations repeat *)
   node_entry : (int, summary_entry) Hashtbl.t;
       (** when recording: the entry that last answered each
           invocation-graph node, referenced again when the node is
@@ -156,6 +180,7 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
     bodies_analyzed = 0;
     record_summaries;
     frame = None;
+    calls = Hashtbl.create 1;
     node_entry = Hashtbl.create 16;
     applied = Hashtbl.create 16;
     demand;
@@ -506,6 +531,14 @@ let demand_widen ctx (callee_fn : Ir.func) (func_input : Pts.t) : Pts.t =
     cell by cell)? *)
 let su_ptr ctx t = Ctype.is_su t && Ctype.carries_pointers (Tenv.layouts ctx.tenv) t
 
+(** Run [f], one evaluation's body walk, under a fresh call-site memo;
+    the enclosing evaluation's memo is back in place when [f] returns or
+    unwinds (a budget trip, {!Demand.Oracle_miss}). *)
+let with_call_memo ctx f =
+  let parent = ctx.calls in
+  ctx.calls <- Hashtbl.create 8;
+  Fun.protect ~finally:(fun () -> ctx.calls <- parent) f
+
 (* ------------------------------------------------------------------ *)
 (* Statement processing                                               *)
 (* ------------------------------------------------------------------ *)
@@ -710,7 +743,8 @@ and map_args ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.operand 
 (** Unmap the callee output [out] back into the caller state [s] (Figure
     4's unmap): the caller-side output, the return-value targets, and
     the returned cells of an aggregate result. *)
-and unmap_result ctx ~merged (s : Pts.t) (callee_fn : Ir.func) info (out : Pts.t) =
+and unmap_result ctx ~merged (s : Pts.t) (callee_fn : Ir.func) info (out : Pts.t) :
+    call_result =
   let callee = callee_fn.Ir.fn_name in
   let result = Map_unmap.unmap_call ~callee ~merged ctx.tenv ~input:s ~output:out ~info in
   let ret_tgts = Map_unmap.return_targets ~output:out ~info ~callee in
@@ -729,8 +763,7 @@ and unmap_result ctx ~merged (s : Pts.t) (callee_fn : Ir.func) info (out : Pts.t
     construction the imprecision cannot flow into the recorded (seed)
     rows. *)
 and demand_skip ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.operand list) :
-    Pts.state * (Loc.t * Pts.cert) list * ((Loc.t -> Loc.t) * (Loc.t * Pts.cert) list) list
-    =
+    call_result =
   let fname = callee_fn.Ir.fn_name in
   let m = Metrics.cur () in
   let fast =
@@ -945,21 +978,38 @@ and finish_call ctx fn _node (out : Pts.state) (ret_tgts : (Loc.t * Pts.cert) li
 
 (** Invoke a defined function in the context of invocation-graph node
     [child] (Figure 4's process_call): map, evaluate or reuse, unmap.
-    Returns the caller-side output state and return-value targets. *)
+    A caller state equal to the one [child] was last mapped with in this
+    evaluation of the caller reuses that translation, and its unmap too
+    when the callee output is physically the one it saw. *)
 and invoke ctx caller_fn (child : Ig.node) (s : Pts.t) (callee_fn : Ir.func)
-    (args : Ir.operand list) :
-    Pts.state * (Loc.t * Pts.cert) list * ((Loc.t -> Loc.t) * (Loc.t * Pts.cert) list) list =
-  let func_input, info = map_args ctx caller_fn s callee_fn args in
-  child.Ig.map_info <-
-    Loc.Map.fold (fun k v acc -> (k, v) :: acc) info.Map_unmap.i_reps [];
-  let output : Pts.state =
-    if ctx.opts.Options.context_sensitive then eval_node ctx child callee_fn func_input
-    else eval_ci ctx child callee_fn func_input
+    (args : Ir.operand list) : call_result =
+  let memo =
+    match Hashtbl.find_opt ctx.calls child.Ig.id with
+    | Some cm when Pts.equal cm.cm_caller s ->
+        Metrics.((cur ()).call_reuses <- (cur ()).call_reuses + 1);
+        cm
+    | Some _ | None ->
+        let func_input, info = map_args ctx caller_fn s callee_fn args in
+        child.Ig.map_info <-
+          Loc.Map.fold (fun k v acc -> (k, v) :: acc) info.Map_unmap.i_reps [];
+        let cm = { cm_caller = s; cm_input = func_input; cm_info = info; cm_unmapped = None } in
+        Hashtbl.replace ctx.calls child.Ig.id cm;
+        cm
   in
-  match output with
-  | None -> (Pts.bot, [], [])
-  | Some out ->
-      unmap_result ctx ~merged:(not ctx.opts.Options.context_sensitive) s callee_fn info out
+  let output : Pts.state =
+    if ctx.opts.Options.context_sensitive then eval_node ctx child callee_fn memo.cm_input
+    else eval_ci ctx child callee_fn memo.cm_input
+  in
+  match (output, memo.cm_unmapped) with
+  | None, _ -> (Pts.bot, [], [])
+  | Some out, Some (seen, r) when out == seen -> r
+  | Some out, _ ->
+      let r =
+        unmap_result ctx ~merged:(not ctx.opts.Options.context_sensitive) s callee_fn
+          memo.cm_info out
+      in
+      memo.cm_unmapped <- Some (out, r);
+      r
 
 (** Evaluate (or reuse) the invocation represented by [node] with the
     given mapped input — the Ordinary/Approximate/Recursive rules of
@@ -1073,7 +1123,7 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                   if node.Ig.kind = Ig.Recursive then fixpoint ~first:false ~n:(n + 1)
                 end
               in
-              fixpoint ~first:true ~n:1;
+              with_call_memo ctx (fun () -> fixpoint ~first:true ~n:1);
               node.Ig.in_flight <- false;
               node.Ig.stored_input <- Some func_input;
               finish_evaluation ctx node callee_fn.Ir.fn_name func_input ~parent;
@@ -1121,7 +1171,10 @@ and eval_ci ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : Pt
     Hashtbl.replace ctx.ci_in_flight name ();
     Hashtbl.replace ctx.ci_done name ();
     let tb0 = Trace.start () in
-    let fl = process_stmts ctx callee_fn node (Some new_in) callee_fn.Ir.fn_body in
+    let fl =
+      with_call_memo ctx (fun () ->
+          process_stmts ctx callee_fn node (Some new_in) callee_fn.Ir.fn_body)
+    in
     Hashtbl.remove ctx.ci_in_flight name;
     ctx.bodies_analyzed <- ctx.bodies_analyzed + 1;
     Metrics.((cur ()).bodies <- (cur ()).bodies + 1);

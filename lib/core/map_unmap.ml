@@ -217,13 +217,14 @@ let map_call (tenv : Tenv.t) ~(caller_fn : Ir.func) ~(callee : Ir.func) ~(input 
     tenv.Tenv.prog.Ir.globals;
   explore st Loc.Heap Loc.Heap;
   (* with heap_by_site, each allocation site present in the caller's set
-     is its own visible root *)
-  Pts.iter
-    (fun src _ _ ->
-      match Loc.root src with
-      | Loc.Site _ as site -> explore st site site
-      | _ -> ())
-    input;
+     is its own visible root (only that option names sites) *)
+  if tenv.Tenv.opts.Options.heap_by_site then
+    Pts.iter_srcs
+      (fun src _ ->
+        match Loc.root src with
+        | Loc.Site _ as site -> explore st site site
+        | _ -> ())
+      input;
   (* formals: collect (formal cell, target locset) pairs *)
   let formal_values : (Loc.t * (Loc.t * Pts.cert) list) list ref = ref [] in
   let n_params = List.length callee.Ir.fn_params in

@@ -47,6 +47,8 @@ type t = {
   (* map/unmap (§4.1) *)
   mutable map_calls : int;
   mutable unmap_calls : int;
+  mutable call_reuses : int;
+      (** calls answered by the engine's call-site memo (map reused) *)
   (* result cache ({!Persist}) *)
   mutable cache_hits : int;  (** results served from the disk cache *)
   mutable cache_misses : int;  (** cache lookups that fell back to analysis *)
@@ -125,6 +127,7 @@ let create () =
     memo_hits = 0;
     map_calls = 0;
     unmap_calls = 0;
+    call_reuses = 0;
     cache_hits = 0;
     cache_misses = 0;
     cache_quarantined = 0;
@@ -177,6 +180,7 @@ let reset () =
   cur.memo_hits <- 0;
   cur.map_calls <- 0;
   cur.unmap_calls <- 0;
+  cur.call_reuses <- 0;
   cur.cache_hits <- 0;
   cur.cache_misses <- 0;
   cur.cache_quarantined <- 0;
@@ -228,6 +232,7 @@ let add_into ~(into : t) (m : t) =
   into.memo_hits <- into.memo_hits + m.memo_hits;
   into.map_calls <- into.map_calls + m.map_calls;
   into.unmap_calls <- into.unmap_calls + m.unmap_calls;
+  into.call_reuses <- into.call_reuses + m.call_reuses;
   into.cache_hits <- into.cache_hits + m.cache_hits;
   into.cache_misses <- into.cache_misses + m.cache_misses;
   into.cache_quarantined <- into.cache_quarantined + m.cache_quarantined;
@@ -290,7 +295,8 @@ let rows (m : t) : (string * string) list =
     ( "covering checks",
       Printf.sprintf "%d (%.1f%% fast-path)" m.covered_checks
         (ratio m.covered_fast m.covered_checks) );
-    ("map/unmap calls", Printf.sprintf "%d/%d" m.map_calls m.unmap_calls);
+    ( "map/unmap calls",
+      Printf.sprintf "%d/%d (%d calls reused)" m.map_calls m.unmap_calls m.call_reuses );
     ( "memo hit rate",
       Printf.sprintf "%d/%d (%.1f%%)" m.memo_hits m.memo_lookups
         (ratio m.memo_hits m.memo_lookups) );

@@ -28,6 +28,12 @@ type t = {
   mutable memo_hits : int;
   mutable map_calls : int;
   mutable unmap_calls : int;
+  mutable call_reuses : int;
+      (** calls answered by {!Engine}'s call-site memo: the caller state
+          equalled the one the site was last mapped with in the same
+          evaluation of the caller, so the translation was reused — and
+          the unmap too when the callee output repeated. [map_calls]
+          and [unmap_calls] count only the translations performed *)
   mutable cache_hits : int;  (** results served from the {!Persist} disk cache *)
   mutable cache_misses : int;  (** cache lookups that fell back to a fresh analysis *)
   mutable cache_quarantined : int;

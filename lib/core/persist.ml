@@ -25,7 +25,7 @@
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 5
+let version = 6
 
 let magic = "PTANC"
 
@@ -458,8 +458,8 @@ let w_metrics b (m : Metrics.t) =
     [
       m.Metrics.merges; m.merge_fast; m.equal_checks; m.equal_fast; m.covered_checks;
       m.covered_fast; m.assigns; m.kills; m.weakens; m.gens; m.loop_iters; m.rec_iters;
-      m.bodies; m.memo_lookups; m.memo_hits; m.map_calls; m.unmap_calls; m.cache_hits;
-      m.cache_misses; m.cache_quarantined; m.budget_trips; m.incr_funcs_dirty;
+      m.bodies; m.memo_lookups; m.memo_hits; m.map_calls; m.unmap_calls; m.call_reuses;
+      m.cache_hits; m.cache_misses; m.cache_quarantined; m.budget_trips; m.incr_funcs_dirty;
       m.incr_funcs_reused;
     ];
   List.iter (w_float b) [ m.t_map; m.t_unmap; m.t_analysis; m.t_serialize; m.t_deserialize ]
@@ -483,6 +483,7 @@ let r_metrics r : Metrics.t =
   m.memo_hits <- r_u r;
   m.map_calls <- r_u r;
   m.unmap_calls <- r_u r;
+  m.call_reuses <- r_u r;
   m.cache_hits <- r_u r;
   m.cache_misses <- r_u r;
   m.cache_quarantined <- r_u r;

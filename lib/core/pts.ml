@@ -8,8 +8,10 @@
       target-directed query ({!remove_tgt}, {!sources}, {!all_locs}) and
       memoized, so the add-heavy phases (gen sets, call mapping) never
       pay for it;
-    - the pair count, maintained incrementally, so cardinality is O(1)
-      and serves as a pre-check for {!equal} and {!covered_by}.
+    - the pair and definite-pair counts, maintained incrementally, so
+      cardinality is O(1) and serves as a pre-check for {!equal} and
+      {!subsumes}, and the definite count lets {!subsumes} skip the
+      rows its operands share.
 
     The lattice ordering used for the interprocedural fixed point
     (Figure 4's [isSubsetOf] and [Merge]) is: [s1] is covered by [s2]
@@ -34,20 +36,34 @@ type t = {
   fwd : cert LM.t LM.t;  (** source -> target -> certainty *)
   rev : Loc.Set.t LM.t Lazy.t;  (** target -> sources, forced on demand *)
   card : int;  (** number of pairs *)
+  dcard : int;  (** number of definite pairs *)
 }
 
 (* Invariants: submaps of [fwd] and sets of [rev] are never empty;
    forcing [rev] yields exactly the transpose of [fwd]'s pair set;
-   [card] is the number of pairs. Keys are not interned here — the
-   producers ({!Lval}, {!Tenv}, {!Map_unmap}) build locations through
-   the interning smart constructors, so the [Loc.compare] fast path
-   fires throughout without paying a hash lookup per insertion. *)
+   [card] is the number of pairs and [dcard] the number of definite
+   ones. Keys are not interned here — the producers ({!Lval}, {!Tenv},
+   {!Map_unmap}) build locations through the interning smart
+   constructors, so the [Loc.compare] fast path fires throughout without
+   paying a hash lookup per insertion. *)
 
-let empty : t = { fwd = LM.empty; rev = lazy LM.empty; card = 0 }
+let empty : t = { fwd = LM.empty; rev = lazy LM.empty; card = 0; dcard = 0 }
 
 let is_empty (s : t) = s.card = 0
 
 let cert_eq (a : cert) b = a == b
+
+let dc (c : cert) = if c == D then 1 else 0
+
+(** The pair and definite-pair counts of a target map, in one walk. *)
+let counts (m : cert LM.t) : int * int =
+  let n = ref 0 and d = ref 0 in
+  LM.iter
+    (fun _ c ->
+      incr n;
+      d := !d + dc c)
+    m;
+  (!n, !d)
 
 let rev_add src tgt rev =
   LM.update tgt
@@ -63,36 +79,38 @@ let transpose (fwd : cert LM.t LM.t) : Loc.Set.t LM.t =
 
 let rev (s : t) = Lazy.force s.rev
 
-(** Pack a forward map whose pair count is [card]; the reverse index is
-    recomputed on first use. *)
-let mk fwd card = { fwd; rev = lazy (transpose fwd); card }
+(** Pack a forward map with [card] pairs, [dcard] of them definite; the
+    reverse index is recomputed on first use. *)
+let mk fwd card dcard = { fwd; rev = lazy (transpose fwd); card; dcard }
+
+(* A certainty change of one pair: the pair set, hence [rev], is
+   unchanged. *)
+let recert (s : t) src m' ~was ~now =
+  { s with fwd = LM.add src m' s.fwd; dcard = s.dcard - dc was + dc now }
 
 (** Add a pair, overriding any existing certainty (used for gen sets:
     the newly generated relationship replaces the old one). *)
 let add src tgt cert (s : t) : t =
   match LM.find_opt src s.fwd with
-  | None -> mk (LM.add src (LM.singleton tgt cert) s.fwd) (s.card + 1)
-  | Some m ->
-      let m' = LM.add tgt cert m in
-      if m' == m then s (* already bound to the same certainty *)
-      else if LM.mem tgt m then
-        (* certainty change only: the pair set, hence [rev], is unchanged *)
-        { s with fwd = LM.add src m' s.fwd }
-      else mk (LM.add src m' s.fwd) (s.card + 1)
+  | None -> mk (LM.add src (LM.singleton tgt cert) s.fwd) (s.card + 1) (s.dcard + dc cert)
+  | Some m -> (
+      match LM.find_opt tgt m with
+      | Some c0 when cert_eq c0 cert -> s (* already bound to the same certainty *)
+      | Some c0 -> recert s src (LM.add tgt cert m) ~was:c0 ~now:cert
+      | None -> mk (LM.add src (LM.add tgt cert m) s.fwd) (s.card + 1) (s.dcard + dc cert))
 
 (** Add a pair, weakening: if present as definite and added as possible
     (or vice versa), the result is possible. Used when accumulating
     independent facts. *)
 let add_weak src tgt cert (s : t) : t =
   match LM.find_opt src s.fwd with
-  | None -> mk (LM.add src (LM.singleton tgt cert) s.fwd) (s.card + 1)
+  | None -> mk (LM.add src (LM.singleton tgt cert) s.fwd) (s.card + 1) (s.dcard + dc cert)
   | Some m -> (
       match LM.find_opt tgt m with
-      | None -> mk (LM.add src (LM.add tgt cert m) s.fwd) (s.card + 1)
+      | None -> mk (LM.add src (LM.add tgt cert m) s.fwd) (s.card + 1) (s.dcard + dc cert)
       | Some c0 ->
           let c' = cert_and c0 cert in
-          if cert_eq c' c0 then s
-          else { s with fwd = LM.add src (LM.add tgt c' m) s.fwd })
+          if cert_eq c' c0 then s else recert s src (LM.add tgt c' m) ~was:c0 ~now:c')
 
 let find src tgt (s : t) : cert option =
   match LM.find_opt src s.fwd with None -> None | Some m -> LM.find_opt tgt m
@@ -113,19 +131,34 @@ let tgt_map src (s : t) : cert LM.t =
 (** [add_map src m s]: bind every pair [(src, tgt, c)] of [m] in [s] with
     override semantics, sharing [m] itself when [src] is unbound — the
     bulk counterpart of repeated {!add}, used by {!Map_unmap} when a
-    whole cell translates identically. *)
+    whole cell translates identically, and by {!Persist} per decoded
+    row. Either path walks [m] once. *)
 let add_map src m (s : t) : t =
   if LM.is_empty m then s
   else
     match LM.find_opt src s.fwd with
-    | None -> mk (LM.add src m s.fwd) (s.card + LM.cardinal m)
+    | None ->
+        let n, d = counts m in
+        mk (LM.add src m s.fwd) (s.card + n) (s.dcard + d)
     | Some m0 ->
-        let m' = LM.fold LM.add m m0 in
+        let added = ref 0 and dd = ref 0 in
+        let m' =
+          LM.fold
+            (fun tgt c m' ->
+              match LM.find_opt tgt m0 with
+              | Some c0 when cert_eq c0 c -> m'
+              | Some c0 ->
+                  dd := !dd - dc c0 + dc c;
+                  LM.add tgt c m'
+              | None ->
+                  incr added;
+                  dd := !dd + dc c;
+                  LM.add tgt c m')
+            m m0
+        in
         if m' == m0 then s
-        else
-          let added = LM.cardinal m' - LM.cardinal m0 in
-          if added = 0 then { s with fwd = LM.add src m' s.fwd }
-          else mk (LM.add src m' s.fwd) (s.card + added)
+        else if !added = 0 then { s with fwd = LM.add src m' s.fwd; dcard = s.dcard + !dd }
+        else mk (LM.add src m' s.fwd) (s.card + !added) (s.dcard + !dd)
 
 (** All sources pointing at [tgt] (the reverse index). *)
 let sources tgt (s : t) : Loc.Set.t =
@@ -135,15 +168,18 @@ let sources tgt (s : t) : Loc.Set.t =
 let kill_src src (s : t) : t =
   match LM.find_opt src s.fwd with
   | None -> s
-  | Some m -> mk (LM.remove src s.fwd) (s.card - LM.cardinal m)
+  | Some m ->
+      let n, d = counts m in
+      mk (LM.remove src s.fwd) (s.card - n) (s.dcard - d)
 
 (** Demote every relationship of [src] from definite to possible. *)
 let weaken_src src (s : t) : t =
   match LM.find_opt src s.fwd with
   | None -> s
   | Some m ->
-      if LM.for_all (fun _ c -> c == P) m then s
-      else { s with fwd = LM.add src (LM.map (fun _ -> P) m) s.fwd }
+      let _, d = counts m in
+      if d = 0 then s
+      else { s with fwd = LM.add src (LM.map (fun _ -> P) m) s.fwd; dcard = s.dcard - d }
 
 (** Remove every relationship whose target is [tgt] (reverse-index
     directed: touches only the sources actually pointing at [tgt]). *)
@@ -151,18 +187,26 @@ let remove_tgt tgt (s : t) : t =
   match LM.find_opt tgt (rev s) with
   | None -> s
   | Some srcs ->
-      let fwd, removed =
+      let fwd, removed, dremoved =
         Loc.Set.fold
-          (fun src (fwd, k) ->
+          (fun src (fwd, k, d) ->
             match LM.find_opt src fwd with
-            | None -> (fwd, k)
+            | None -> (fwd, k, d)
             | Some m ->
+                let c = LM.find tgt m in
                 let m' = LM.remove tgt m in
-                ((if LM.is_empty m' then LM.remove src fwd else LM.add src m' fwd), k + 1))
-          srcs (s.fwd, 0)
+                ( (if LM.is_empty m' then LM.remove src fwd else LM.add src m' fwd),
+                  k + 1,
+                  d + dc c ))
+          srcs (s.fwd, 0, 0)
       in
       (* [s.rev] is already forced; removing the one key keeps it exact *)
-      { fwd; rev = lazy (LM.remove tgt (rev s)); card = s.card - removed }
+      {
+        fwd;
+        rev = lazy (LM.remove tgt (rev s));
+        card = s.card - removed;
+        dcard = s.dcard - dremoved;
+      }
 
 let fold f (s : t) acc =
   LM.fold (fun src m acc -> LM.fold (fun tgt c acc -> f src tgt c acc) m acc) s.fwd acc
@@ -179,31 +223,47 @@ let exists f (s : t) =
    that drops nothing returns [s] itself). *)
 
 let filter f (s : t) : t =
-  let fwd, card =
+  (* the dropped pairs, counted as the predicate rejects them *)
+  let dropped = ref 0 and ddropped = ref 0 in
+  let fwd =
     LM.fold
-      (fun src m (fwd, card) ->
-        let m' = LM.filter (fun tgt c -> f src tgt c) m in
-        if m' == m then (fwd, card)
-        else
-          ( (if LM.is_empty m' then LM.remove src fwd else LM.add src m' fwd),
-            card - (LM.cardinal m - LM.cardinal m') ))
-      s.fwd (s.fwd, s.card)
+      (fun src m fwd ->
+        let m' =
+          LM.filter
+            (fun tgt c ->
+              f src tgt c
+              || begin
+                   incr dropped;
+                   ddropped := !ddropped + dc c;
+                   false
+                 end)
+            m
+        in
+        if m' == m then fwd
+        else if LM.is_empty m' then LM.remove src fwd
+        else LM.add src m' fwd)
+      s.fwd s.fwd
   in
-  if fwd == s.fwd then s else mk fwd card
+  if fwd == s.fwd then s else mk fwd (s.card - !dropped) (s.dcard - !ddropped)
 
 (** Keep only the relationships whose source satisfies [f] (evaluated
     once per source, not per pair; retained submaps stay physically
     shared with the input). *)
 let filter_src f (s : t) : t =
-  let fwd, card =
+  let fwd, card, dcard =
     LM.fold
-      (fun src m (fwd, card) ->
-        if f src then (fwd, card) else (LM.remove src fwd, card - LM.cardinal m))
-      s.fwd (s.fwd, s.card)
+      (fun src m (fwd, card, dcard) ->
+        if f src then (fwd, card, dcard)
+        else
+          let n, d = counts m in
+          (LM.remove src fwd, card - n, dcard - d))
+      s.fwd (s.fwd, s.card, s.dcard)
   in
-  if fwd == s.fwd then s else mk fwd card
+  if fwd == s.fwd then s else mk fwd card dcard
 
 let cardinal (s : t) = s.card
+
+let definite_cardinal (s : t) = s.dcard
 
 (** Cheap structural fingerprint: equal sets fingerprint equally, and
     the bounded traversal of [Hashtbl.hash] keeps it O(1) even on large
@@ -229,39 +289,43 @@ let equal (a : t) (b : t) =
   else LM.equal (fun ma mb -> ma == mb || LM.equal cert_eq ma mb) a.fwd b.fwd
 
 (** [subsumes a b]: would [merge a b] return exactly [a]? Holds when
-    every pair of [b] is in [a] with a certainty unchanged by the merge
-    (i.e. [cert_and ca cb = ca]), and every pair of [a] absent from [b]
-    is already possible (one-sided pairs demote to possible). Early
-    exits make the common fixed-point steady state O(pairs) without
-    allocation. *)
+    every pair of [b] is in [a] and every definite pair of [a] is in [b],
+    definite: a pair of [b] that is definite in [a] must then be
+    definite in [b] (else the merge demotes it), and a pair of [a]
+    absent from [b] must be possible (one-sided pairs demote).
+
+    One walk over [b]'s rows, skipping those physically shared with [a]
+    (identical rows satisfy both conditions). The walk checks the first
+    condition on the unshared rows and counts the definite pairs of [a]
+    it meets there, all of which must be definite in [b]; the second
+    condition then holds iff those, plus the definite pairs of the shared
+    rows — [b.dcard] minus [b]'s definite pairs in its unshared rows —
+    number [a.dcard]. Early exits make the common fixed-point steady
+    state cost one lookup per row of [b] plus one per unshared pair. *)
 let subsumes (a : t) (b : t) : bool =
   b.card <= a.card
-  && (not
-        (LM.exists
-           (fun src mb ->
-             match LM.find_opt src a.fwd with
-             | None -> true
-             | Some ma ->
-                 ma != mb
-                 && LM.exists
-                      (fun tgt cb ->
-                        match LM.find_opt tgt ma with
-                        | None -> true
-                        | Some ca -> not (cert_eq (cert_and ca cb) ca))
-                      mb)
-           b.fwd))
-  && not
-       (LM.exists
-          (fun src ma ->
-            match LM.find_opt src b.fwd with
-            | Some mb when mb == ma -> false
-            | mbo ->
-                LM.exists
-                  (fun tgt ca ->
-                    ca == D
-                    && (match mbo with None -> true | Some mb -> not (LM.mem tgt mb)))
-                  ma)
-          a.fwd)
+  && a.dcard <= b.dcard
+  &&
+  let met = ref 0 and bd_unshared = ref 0 in
+  (not
+     (LM.exists
+        (fun src mb ->
+          match LM.find_opt src a.fwd with
+          | None -> true
+          | Some ma ->
+              ma != mb
+              && LM.exists
+                   (fun tgt cb ->
+                     if cb == D then incr bd_unshared;
+                     match LM.find_opt tgt ma with
+                     | None -> true
+                     | Some P -> false
+                     | Some D ->
+                         incr met;
+                         cb == P)
+                   mb)
+        b.fwd))
+  && !met + (b.dcard - !bd_unshared) = a.dcard
 
 let all_possible m = LM.for_all (fun _ c -> c == P) m
 
@@ -285,7 +349,7 @@ let merge (a : t) (b : t) : t =
     b
   end
   else begin
-    let count = ref 0 in
+    let count = ref 0 and dcount = ref 0 in
     let fwd =
       LM.merge
         (fun _src ma mb ->
@@ -296,7 +360,9 @@ let merge (a : t) (b : t) : t =
               Some (if all_possible m then m else LM.map (fun _ -> P) m)
           | Some ma, Some mb ->
               if ma == mb then begin
-                count := !count + LM.cardinal ma;
+                let n, d = counts ma in
+                count := !count + n;
+                dcount := !dcount + d;
                 Some ma
               end
               else
@@ -310,16 +376,19 @@ let merge (a : t) (b : t) : t =
                            Some P
                        | Some ca, Some cb ->
                            incr count;
-                           Some (cert_and ca cb))
+                           let c = cert_and ca cb in
+                           dcount := !dcount + dc c;
+                           Some c)
                      ma mb))
         a.fwd b.fwd
     in
-    mk fwd !count
+    mk fwd !count !dcount
   end
 
 (** [covered_by s1 s2]: is [s2] a safe generalization of [s1]?
     Requires (1) every pair of [s1] to be present in [s2], and (2) every
-    definite pair of [s2] to be definite in [s1]. *)
+    definite pair of [s2] to be definite in [s1] — exactly
+    [subsumes s2 s1]. *)
 let covered_by (s1 : t) (s2 : t) : bool =
   let m = Metrics.cur () in
   m.Metrics.covered_checks <- m.Metrics.covered_checks + 1;
@@ -331,29 +400,7 @@ let covered_by (s1 : t) (s2 : t) : bool =
     m.Metrics.covered_fast <- m.Metrics.covered_fast + 1;
     false
   end
-  else
-    (not
-       (LM.exists
-          (fun src m1 ->
-            match LM.find_opt src s2.fwd with
-            | None -> true
-            | Some m2 -> m1 != m2 && LM.exists (fun tgt _ -> not (LM.mem tgt m2)) m1)
-          s1.fwd))
-    && not
-         (LM.exists
-            (fun src m2 ->
-              match LM.find_opt src s1.fwd with
-              | Some m1 when m1 == m2 -> false
-              | m1o ->
-                  LM.exists
-                    (fun tgt c ->
-                      c == D
-                      &&
-                      match m1o with
-                      | None -> true
-                      | Some m1 -> LM.find_opt tgt m1 <> Some D)
-                    m2)
-            s2.fwd)
+  else subsumes s2 s1
 
 (** Canonical structural digest, consistent with {!equal}: equal sets
     hash equal (on any domain). Folding [fwd] visits pairs in

@@ -1,13 +1,15 @@
 (** Points-to sets: maps from (source, target) abstract-location pairs to
     a certainty (paper Definitions 3.1–3.3).
 
-    The representation is source-indexed and carries the pair count
-    plus a lazily computed, memoized reverse (target → sources) index,
-    so cardinality is O(1) and target-directed operations cost one
-    transposition per set value instead of per query; {!merge},
-    {!equal} and {!covered_by} run identity / cardinality / subsumption
-    pre-checks so fixed-point steady states cost O(1)–O(pairs) without
-    allocation.
+    The representation is source-indexed and carries the pair and
+    definite-pair counts plus a lazily computed, memoized reverse
+    (target → sources) index, so cardinality is O(1) and target-directed
+    operations cost one transposition per set value instead of per
+    query; {!merge}, {!equal} and {!covered_by} run identity /
+    cardinality / subsumption pre-checks so fixed-point steady states
+    cost O(1)–O(pairs) without allocation. The subsumption check walks
+    only the smaller operand's rows not physically shared with the
+    larger one.
 
     The interprocedural fixed point (Figure 4) uses the lattice defined
     by {!covered_by} (safe generalization) and {!merge} (least upper
@@ -77,6 +79,9 @@ val filter : (Loc.t -> Loc.t -> cert -> bool) -> t -> t
     (evaluated once per source, not per pair). *)
 val filter_src : (Loc.t -> bool) -> t -> t
 val cardinal : t -> int
+
+(** Number of definite pairs, maintained like {!cardinal}: O(1). *)
+val definite_cardinal : t -> int
 
 (** Cheap bounded-traversal fingerprint for bucketing interning tables:
     physically shared sets fingerprint equally in O(1); equal but

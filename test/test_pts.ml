@@ -255,4 +255,138 @@ let property_tests =
         sign (Loc.compare (Loc.intern a) (Loc.intern b)) = sign (Loc.compare a b));
   ]
 
-let suite = ("pts", unit_tests @ loc_tests @ property_tests)
+(* ------------------------------------------------------------------ *)
+(* Derived sets: the shared-row paths                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Sets built independently share no rows, so the subsumption check's
+   shared-row accounting is only exercised by a set derived from
+   another through the functional updates, which keep every untouched
+   row physically shared. *)
+
+(** One functional update; [int] payloads pick a source, a target or a
+    predicate of the set at hand when the step runs. *)
+type op =
+  | Add of Loc.t * Loc.t * Pts.cert
+  | Add_weak of Loc.t * Loc.t * Pts.cert
+  | Add_map of int * (Loc.t * Pts.cert) list
+  | Kill_src of int
+  | Weaken_src of int
+  | Remove_tgt of int
+  | Filter of int
+  | Filter_src of int
+  | Merge of Pts.t
+
+let op_gen : op QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let pick = int_bound 1000 in
+  oneof
+    [
+      map3 (fun a b c -> Add (a, b, c)) loc_gen loc_gen cert_gen;
+      map3 (fun a b c -> Add_weak (a, b, c)) loc_gen loc_gen cert_gen;
+      map2 (fun i m -> Add_map (i, m)) pick (list_size (int_range 1 4) (pair loc_gen cert_gen));
+      map (fun i -> Kill_src i) pick;
+      map (fun i -> Weaken_src i) pick;
+      map (fun i -> Remove_tgt i) pick;
+      map (fun i -> Filter i) pick;
+      map (fun i -> Filter_src i) pick;
+      map (fun s -> Merge s) pts_gen;
+    ]
+
+let nth_or l i = match l with [] -> None | _ -> Some (List.nth l (i mod List.length l))
+
+let srcs s = List.sort_uniq Loc.compare (List.map (fun (a, _, _) -> a) (Pts.to_list s))
+
+(* Add_map binds under an existing source when [i] picks one (the merge
+   path), under a fresh one otherwise (the shared-row path). *)
+let apply_op s = function
+  | Add (a, b, c) -> Pts.add a b c s
+  | Add_weak (a, b, c) -> Pts.add_weak a b c s
+  | Add_map (i, tgts) ->
+      let src = if i mod 3 = 0 then g "fresh" else Option.value ~default:x (nth_or (srcs s) i) in
+      let m = List.fold_left (fun m (t, c) -> Loc.Map.add t c m) Loc.Map.empty tgts in
+      Pts.add_map src m s
+  | Kill_src i -> Option.fold ~none:s ~some:(fun l -> Pts.kill_src l s) (nth_or (srcs s) i)
+  | Weaken_src i -> Option.fold ~none:s ~some:(fun l -> Pts.weaken_src l s) (nth_or (srcs s) i)
+  | Remove_tgt i ->
+      Option.fold ~none:s
+        ~some:(fun (_, t, _) -> Pts.remove_tgt t s)
+        (nth_or (Pts.to_list s) i)
+  | Filter i -> Pts.filter (fun a b c -> (Loc.hash a + Loc.hash b + i) mod 4 <> 0 || c = Pts.P) s
+  | Filter_src i -> Pts.filter_src (fun a -> (Loc.hash a + i) mod 3 <> 0) s
+  | Merge o -> Pts.merge s o
+
+let ref_dcard s = Pts.fold (fun _ _ c n -> if c = Pts.D then n + 1 else n) s 0
+
+(** The two-pass subsumption: would merging [b] into [a] leave [a]
+    unchanged? Every pair of [b] in [a] with a certainty the merge
+    keeps, then every definite pair of [a] in [b]. *)
+let ref_subsumes a b =
+  Pts.fold
+    (fun src tgt cb ok ->
+      ok
+      &&
+      match Pts.find src tgt a with
+      | None -> false
+      | Some ca -> Pts.cert_and ca cb = ca)
+    b true
+  && Pts.fold (fun src tgt ca ok -> ok && (ca = Pts.P || Pts.mem src tgt b)) a true
+
+(** The least upper bound pair by pair, with no fast path. *)
+let ref_merge a b =
+  let one_sided s other acc =
+    Pts.fold
+      (fun src tgt c acc ->
+        match Pts.find src tgt other with
+        | None -> (src, tgt, Pts.P) :: acc
+        | Some c' -> (src, tgt, Pts.cert_and c c') :: acc)
+      s acc
+  in
+  List.sort_uniq compare (one_sided a b (one_sided b a []))
+
+(** A set and the chain of sets derived from it. *)
+let derived_gen =
+  QCheck2.Gen.(
+    pair (list_size (int_bound 24) (triple loc_gen loc_gen cert_gen) >|= Pts.of_list)
+      (list_size (int_range 1 8) op_gen))
+
+let derived_tests =
+  [
+    qcase ~count:500 "the definite count is maintained through every update" derived_gen
+      (fun (a, ops) ->
+        let ok s =
+          Pts.definite_cardinal s = ref_dcard s && Pts.cardinal s = List.length (Pts.to_list s)
+        in
+        ok a
+        && snd
+             (List.fold_left
+                (fun (s, ok_so_far) op ->
+                  let s' = apply_op s op in
+                  (s', ok_so_far && ok s'))
+                (a, true) ops));
+    qcase ~count:500 "merge returns an operand exactly when it subsumes the other"
+      derived_gen (fun (a, ops) ->
+        let b = List.fold_left apply_op a ops in
+        (Pts.merge a b == a) = ref_subsumes a b
+        && (Pts.merge b a == b) = ref_subsumes b a
+        && Pts.covered_by b a = ref_subsumes a b
+        && Pts.covered_by a b = ref_subsumes b a);
+    qcase ~count:500 "merge equals the reference least upper bound" derived_gen
+      (fun (a, ops) ->
+        let b = List.fold_left apply_op a ops in
+        let m = Pts.merge a b in
+        List.sort compare (Pts.to_list m) = ref_merge a b
+        && Pts.definite_cardinal m = ref_dcard m
+        && Pts.cardinal m = List.length (Pts.to_list m));
+    case "a dropped all-possible row leaves the set subsuming its remainder" (fun () ->
+        (* every remaining row is shared: only the counts decide *)
+        let a = Pts.of_list [ (x, y, Pts.P); (y, z, Pts.D); (z, x, Pts.D) ] in
+        let b = Pts.kill_src x a in
+        Alcotest.(check bool) "merge a b is a" true (Pts.merge a b == a);
+        let b' = Pts.kill_src y a in
+        Alcotest.(check bool) "a dropped definite row is demoted" false (Pts.merge a b' == a);
+        Alcotest.(check (option string)) "y -> z demoted" (Some "P")
+          (Option.map Pts.cert_to_string (Pts.find y z (Pts.merge a b'))));
+  ]
+
+let suite = ("pts", unit_tests @ loc_tests @ property_tests @ derived_tests)

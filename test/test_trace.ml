@@ -413,5 +413,30 @@ let identity_tests =
         Alcotest.(check int) "no spans" 0 (List.length (Trace.collect ())));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Translations and the call-site memo                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Kept last in the suite so the earlier cases keep their positions. *)
+let translation_tests =
+  [
+    case "map and unmap spans are the translations; memo reuses make up the calls"
+      (fun () ->
+        let r, spans = recording (fun () -> Analysis.analyze (load_bench "livc")) in
+        let m = r.Analysis.metrics in
+        let count k = List.length (List.filter (fun s -> s.Trace.sp_kind = k) spans) in
+        Alcotest.(check int) "one Map span per translation" m.Pointsto.Metrics.map_calls
+          (count Trace.Map);
+        Alcotest.(check int) "one Unmap span per translation" m.Pointsto.Metrics.unmap_calls
+          (count Trace.Unmap);
+        Alcotest.(check bool) "the call-site memo answers some calls" true
+          (m.Pointsto.Metrics.call_reuses > 0);
+        (* livc's analysis invokes defined functions 222 times, loop
+           and recursion re-passes included: without the memo, each
+           invocation was one translation *)
+        Alcotest.(check int) "translations + reuses = calls" 222
+          (m.Pointsto.Metrics.map_calls + m.Pointsto.Metrics.call_reuses));
+  ]
+
 let suite =
-  ("trace", nesting_tests @ json_tests @ merge_tests @ identity_tests)
+  ("trace", nesting_tests @ json_tests @ merge_tests @ identity_tests @ translation_tests)
