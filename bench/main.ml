@@ -14,6 +14,39 @@ module Ig = Pointsto.Invocation_graph
 module Loc = Pointsto.Loc
 module Pts = Pointsto.Pts
 
+(* The command line: [--json FILE], [--smoke], [--serve] and [-j N]
+   (docs/BENCHMARKS.md). Anything else prints the usage to stderr and
+   exits 2 before any work starts. *)
+type cli = {
+  c_json : string option;
+  c_smoke : bool;
+  c_serve : bool;
+  c_jobs : int option;
+      (** narrows the parallel section and the smoke check to one pool
+          width, and sets the corpus pool's width *)
+}
+
+let cli =
+  let usage () =
+    prerr_endline "usage: main.exe [--json FILE] [--smoke] [--serve] [-j N]";
+    exit 2
+  in
+  let n = Array.length Sys.argv in
+  let rec go i c =
+    if i >= n then c
+    else
+      match Sys.argv.(i) with
+      | "--json" when i + 1 < n -> go (i + 2) { c with c_json = Some Sys.argv.(i + 1) }
+      | "-j" when i + 1 < n -> (
+          match int_of_string_opt Sys.argv.(i + 1) with
+          | Some j when j >= 1 -> go (i + 2) { c with c_jobs = Some j }
+          | Some _ | None -> usage ())
+      | "--smoke" -> go (i + 1) { c with c_smoke = true }
+      | "--serve" -> go (i + 1) { c with c_serve = true }
+      | _ -> usage ()
+  in
+  go 1 { c_json = None; c_smoke = false; c_serve = false; c_jobs = None }
+
 let bench_dir =
   if Sys.file_exists "benchmarks" then "benchmarks"
   else if Sys.file_exists "../benchmarks" then "../benchmarks"
@@ -728,16 +761,6 @@ let parallel_suite jobs_list =
     (M.ratio agg.M.memo_hits agg.M.memo_lookups);
   Fmt.pr "(speedup is bounded by the cores available to the runtime)@."
 
-(** [-j N] on the command line narrows the parallel section (and the
-    smoke check) to that one pool width. *)
-let argv_jobs () =
-  let rec go i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if String.equal Sys.argv.(i) "-j" then int_of_string_opt Sys.argv.(i + 1)
-    else go (i + 1)
-  in
-  go 1
-
 (* ------------------------------------------------------------------ *)
 (* Incremental re-analysis: edit, diff hashes, replay the clean part  *)
 (* ------------------------------------------------------------------ *)
@@ -1413,6 +1436,10 @@ let corpus_measure (shape, (k : Gen.knobs)) =
     cr_prog = p;
   }
 
+(* The corpus pool: [-j N], else one domain per core up to four. *)
+let corpus_jobs () =
+  match cli.c_jobs with Some j -> j | None -> min 4 (Domain.recommended_domain_count ())
+
 (** The exhaustive-vs-parallel leg over the whole corpus: one pool of
     [jobs] domains re-analyzes every member; every digest must equal
     the sequential run's. Returns (sequential ms, parallel ms). The
@@ -1443,10 +1470,12 @@ let corpus () =
         (if r.cr_tripped then "yes" else "-")
         (if r.cr_superset then "yes" else "NO"))
     rows;
-  let jobs = Option.value ~default:4 (argv_jobs ()) in
+  let jobs = corpus_jobs () in
   let t_seq, t_par = corpus_parallel rows jobs in
-  Fmt.pr "@.parallel corpus: %.1f ms sequential vs %.1f ms on -j %d (%.2fx), bit-identical@."
-    t_seq t_par jobs (t_seq /. t_par);
+  Fmt.pr
+    "@.parallel corpus: %.1f ms sequential vs %.1f ms on -j %d (%.2fx, %d cores), \
+     bit-identical@."
+    t_seq t_par jobs (t_seq /. t_par) (Domain.recommended_domain_count ());
   Fmt.pr
     "(every member regenerates byte-identically from its seed; demand answers the@.\
      cheapest-slice seed bit-identically; fuel-1 degradation stays a pair superset)@."
@@ -1459,7 +1488,7 @@ let corpus () =
     tripped 10k-line member) gates enforced while measuring. *)
 let corpus_json out =
   let rows = List.map corpus_measure corpus_spec in
-  let jobs = Option.value ~default:4 (argv_jobs ()) in
+  let jobs = corpus_jobs () in
   let t_seq, t_par = corpus_parallel rows jobs in
   let total_lines = List.fold_left (fun a r -> a + r.cr_lines) 0 rows in
   let t_demand = List.fold_left (fun a r -> a +. r.cr_t_demand) 0. rows in
@@ -1488,9 +1517,9 @@ let corpus_json out =
         (if i = List.length rows - 1 then "" else ","))
     rows;
   pr "  ],\n";
-  pr "  \"parallel\": {\"jobs\": %d, \"t_seq_ms\": %.3f, \"t_par_ms\": %.3f, \
-      \"speedup\": %.2f, \"identical\": true},\n"
-    jobs t_seq t_par (t_seq /. t_par);
+  pr "  \"parallel\": {\"jobs\": %d, \"cores\": %d, \"t_seq_ms\": %.3f, \
+      \"t_par_ms\": %.3f, \"speedup\": %.2f, \"identical\": true},\n"
+    jobs (Domain.recommended_domain_count ()) t_seq t_par (t_seq /. t_par);
   pr "  \"totals\": {\"programs\": %d, \"lines\": %d, \"t_exhaustive_ms\": %.3f, \
       \"t_demand_ms\": %.3f, \"t_budget_ms\": %.3f, \"tripped\": %d}\n"
     (List.length rows) total_lines t_seq t_demand t_budget tripped;
@@ -1500,18 +1529,6 @@ let corpus_json out =
     "corpus: %d generated programs (%d lines), exhaustive %.1f ms sequential vs %.1f ms \
      on -j %d, %d tripped under fuel 1 -> %s@."
     (List.length rows) total_lines t_seq t_par jobs tripped out
-
-(** [--json FILE] on the command line selects a machine-readable report
-    instead of the full text harness, routed by file name: the corpus
-    report when it mentions corpus, the demand report when it mentions
-    demand, the incremental report otherwise (docs/BENCHMARKS.md). *)
-let argv_json () =
-  let rec go i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if String.equal Sys.argv.(i) "--json" then Some Sys.argv.(i + 1)
-    else go (i + 1)
-  in
-  go 1
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timings                                                   *)
@@ -1652,7 +1669,7 @@ let smoke () =
         [ ("livc", comment_edit); ("livc-kernel", kernel_edit) ]);
   (* drive the domain pool over the full suite and insist the parallel
      run reproduces the sequential one bit-for-bit *)
-  let jobs = Option.value ~default:4 (argv_jobs ()) in
+  let jobs = Option.value ~default:4 cli.c_jobs in
   let names = Paper_data.names @ [ "livc" ] in
   let parsed = List.map (fun name -> (name, prog name)) names in
   let seq, _ = suite_on_pool parsed 1 in
@@ -1694,8 +1711,12 @@ let smoke () =
   if qps < 2e4 then Fmt.failwith "smoke: serve throughput %.0f below the 20000 q/s floor" qps;
   Fmt.pr "smoke: ok@."
 
+(* [--json FILE] selects a machine-readable report instead of the full
+   text harness, routed by file name: the corpus report when it mentions
+   corpus, the demand report when it mentions demand, the incremental
+   report otherwise (docs/BENCHMARKS.md). *)
 let () =
-  match argv_json () with
+  match cli.c_json with
   | Some out ->
       let base = String.lowercase_ascii (Filename.basename out) in
       let mentions sub =
@@ -1707,8 +1728,8 @@ let () =
       else if mentions "demand" then demand_json out
       else incremental_json out
   | None ->
-  if Array.exists (String.equal "--smoke") Sys.argv then smoke ()
-  else if Array.exists (String.equal "--serve") Sys.argv then serve_bench ()
+  if cli.c_smoke then smoke ()
+  else if cli.c_serve then serve_bench ()
   else begin
     Fmt.pr "Reproduction harness: Emami, Ghiya & Hendren, PLDI 1994@.";
     Fmt.pr "\"Context-Sensitive Interprocedural Points-to Analysis in the Presence of@.";
@@ -1730,7 +1751,7 @@ let () =
     counters ();
     tracing ();
     degradation ();
-    parallel_suite (match argv_jobs () with Some n -> [ n ] | None -> [ 2; 4; 8 ]);
+    parallel_suite (match cli.c_jobs with Some n -> [ n ] | None -> [ 2; 4; 8 ]);
     serve_bench ();
     corpus ();
     timings ();

@@ -160,6 +160,7 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
             Trace.emit Trace.Checkpoint ~name:entry ~stmts:(List.length ck) ~t0:tc0 ());
       raise e
   in
+  Tenv.expand_rows tenv ctx.Engine.stmt_pts;
   (Metrics.cur ()).Metrics.t_analysis <- Metrics.now () -. t0;
   if Trace.on () then
     Trace.emit Trace.Analysis ~name:entry
@@ -252,6 +253,7 @@ let analyze_demand ?(opts = Options.default) ?(entry = "main") ?seeded ~plan
       let t0 = Metrics.now () in
       let ttr = Trace.start () in
       let entry_output = Engine.eval_node ctx graph.Ig.root entry_fn input0 in
+      Tenv.expand_rows tenv ctx.Engine.stmt_pts;
       (Metrics.cur ()).Metrics.t_analysis <- Metrics.now () -. t0;
       if Trace.on () then
         Trace.emit Trace.Demand ~name:plan.Demand.p_seed

@@ -219,13 +219,21 @@ let merge_into_tbl (tbl : (int, Pts.t) Hashtbl.t) sid (s : Pts.t) =
   | None -> Hashtbl.replace tbl sid s
   | Some old -> Hashtbl.replace tbl sid (Pts.merge old s)
 
+(** Merge [input] into [s]'s row, unless [s] shares its
+    representative's row ({!Tenv.reps}): the representative was visited
+    with this very state, in the same frame, and the row is bound when
+    the table is exposed ({!Tenv.expand_rows}). *)
 let record_stmt ctx (s : Ir.stmt) (input : Pts.t) =
   if
     ctx.opts.Options.record_stats
     && (match ctx.demand with Some p -> Demand.records p s.Ir.s_id | None -> true)
   then begin
-    merge_into_tbl ctx.stmt_pts s.Ir.s_id input;
-    match ctx.frame with Some fr -> merge_into_tbl fr.fr_rows s.Ir.s_id input | None -> ()
+    if Hashtbl.mem (Lazy.force ctx.tenv.Tenv.reps) s.Ir.s_id then
+      Metrics.((cur ()).shared_visits <- (cur ()).shared_visits + 1)
+    else begin
+      merge_into_tbl ctx.stmt_pts s.Ir.s_id input;
+      match ctx.frame with Some fr -> merge_into_tbl fr.fr_rows s.Ir.s_id input | None -> ()
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -270,12 +278,14 @@ let rec iter_dag ~seen f (e : summary_entry) =
   end
 
 (** The per-statement contributions of the evaluation [e] summarizes,
-    its callees' included: the rows of the DAG below it, merged. *)
-let flatten (e : summary_entry) : (int, Pts.t) Hashtbl.t =
+    its callees' included: the rows of the DAG below it, merged, with
+    the shared rows of [tenv]'s program bound. *)
+let flatten (tenv : Tenv.t) (e : summary_entry) : (int, Pts.t) Hashtbl.t =
   let out = Hashtbl.create 64 in
   iter_dag ~seen:(Hashtbl.create 64)
     (fun e -> Hashtbl.iter (merge_into_tbl out) e.se_rows)
     e;
+  Tenv.expand_rows tenv out;
   out
 
 (** Node [node]'s evaluation was answered by [e]: reference it from the

@@ -375,61 +375,56 @@ let unmap_call ?(callee = "?") ?(merged = false) (_tenv : Tenv.t) ~(input : Pts.
   (* per caller source: the translated target maps of every callee-side
      source resolving to it *)
   let per_src : (Loc.t, Pts.cert Loc.Map.t list) Hashtbl.t = Hashtbl.create 32 in
-  let seen_sources = Hashtbl.create 32 in
-  Pts.iter
-    (fun src _ _ ->
-      if not (Hashtbl.mem seen_sources src) then begin
-        Hashtbl.replace seen_sources src ();
-        let srcs = resolve_back info src in
-        if srcs <> [] then begin
-          let m0 = Pts.tgt_map src output in
-          (* a symbolic target with no representation at this site comes
-             from another call path whose facts were merged into the
-             callee's set (context-insensitive slots, approximate-node
-             reuse). It cannot be translated here, but it witnesses that
-             along some path the cell kept or received a caller-invisible
-             value — so the cell may still hold any of its pre-call
-             targets. Dropping the pair outright loses that (observed as
-             concrete pairs vanishing across widened-mode calls on the
-             generated corpus); instead the caller's old targets for the
-             cell are retained, demoted to possible. *)
-          let dropped_sym = ref false in
-          let tmap =
-            (* every target resolves back to itself: the callee's submap
-               is already the translated target map — share it *)
-            if
-              Loc.Map.for_all
-                (fun t _ -> visible t && not (Loc.Map.mem t info.i_reps))
-                m0
-            then m0
-            else
-              Loc.Map.fold
-                (fun tgt d acc ->
-                  let tgts = resolve_back info tgt in
-                  if tgts = [] && (merged || Loc.sym_depth tgt > 0) then
-                    dropped_sym := true;
-                  let d = if List.length tgts > 1 then Pts.P else d in
-                  List.fold_left
-                    (fun acc t ->
-                      Loc.Map.update t
-                        (function None -> Some d | Some d0 -> Some (Pts.cert_and d0 d))
-                        acc)
-                    acc tgts)
-                m0 Loc.Map.empty
-          in
-          List.iter
-            (fun s ->
-              let old = Option.value ~default:[] (Hashtbl.find_opt per_src s) in
-              let maps =
-                if !dropped_sym then
-                  let retained = Loc.Map.map (fun _ -> Pts.P) (Pts.tgt_map s input) in
-                  if Loc.Map.is_empty retained then tmap :: old
-                  else tmap :: retained :: old
-                else tmap :: old
-              in
-              Hashtbl.replace per_src s maps)
-            srcs
-        end
+  Pts.iter_srcs
+    (fun src m0 ->
+      let srcs = resolve_back info src in
+      if srcs <> [] then begin
+        (* a symbolic target with no representation at this site comes
+           from another call path whose facts were merged into the
+           callee's set (context-insensitive slots, approximate-node
+           reuse). It cannot be translated here, but it witnesses that
+           along some path the cell kept or received a caller-invisible
+           value — so the cell may still hold any of its pre-call
+           targets. Dropping the pair outright loses that (observed as
+           concrete pairs vanishing across widened-mode calls on the
+           generated corpus); instead the caller's old targets for the
+           cell are retained, demoted to possible. *)
+        let dropped_sym = ref false in
+        let tmap =
+          (* every target resolves back to itself: the callee's submap
+             is already the translated target map — share it *)
+          if
+            Loc.Map.for_all
+              (fun t _ -> visible t && not (Loc.Map.mem t info.i_reps))
+              m0
+          then m0
+          else
+            Loc.Map.fold
+              (fun tgt d acc ->
+                let tgts = resolve_back info tgt in
+                if tgts = [] && (merged || Loc.sym_depth tgt > 0) then
+                  dropped_sym := true;
+                let d = if List.length tgts > 1 then Pts.P else d in
+                List.fold_left
+                  (fun acc t ->
+                    Loc.Map.update t
+                      (function None -> Some d | Some d0 -> Some (Pts.cert_and d0 d))
+                      acc)
+                  acc tgts)
+              m0 Loc.Map.empty
+        in
+        List.iter
+          (fun s ->
+            let old = Option.value ~default:[] (Hashtbl.find_opt per_src s) in
+            let maps =
+              if !dropped_sym then
+                let retained = Loc.Map.map (fun _ -> Pts.P) (Pts.tgt_map s input) in
+                if Loc.Map.is_empty retained then tmap :: old
+                else tmap :: retained :: old
+              else tmap :: old
+            in
+            Hashtbl.replace per_src s maps)
+          srcs
       end)
     output;
   let result =

@@ -23,6 +23,9 @@ type t = {
   mutable merge_fast : int;
       (** merges answered by the subsumption pre-check without
           rebuilding the map *)
+  mutable shared_visits : int;
+      (** statement visits recorded by a representative's row instead of
+          a merge of their own ({!Tenv.reps}) *)
   mutable equal_checks : int;  (** {!Pts.equal} invocations *)
   mutable equal_fast : int;
       (** equalities decided by physical identity or the cardinality
@@ -112,6 +115,7 @@ let create () =
   {
     merges = 0;
     merge_fast = 0;
+    shared_visits = 0;
     equal_checks = 0;
     equal_fast = 0;
     covered_checks = 0;
@@ -165,6 +169,7 @@ let reset () =
   let cur = cur () in
   cur.merges <- 0;
   cur.merge_fast <- 0;
+  cur.shared_visits <- 0;
   cur.equal_checks <- 0;
   cur.equal_fast <- 0;
   cur.covered_checks <- 0;
@@ -217,6 +222,7 @@ let snapshot () =
 let add_into ~(into : t) (m : t) =
   into.merges <- into.merges + m.merges;
   into.merge_fast <- into.merge_fast + m.merge_fast;
+  into.shared_visits <- into.shared_visits + m.shared_visits;
   into.equal_checks <- into.equal_checks + m.equal_checks;
   into.equal_fast <- into.equal_fast + m.equal_fast;
   into.covered_checks <- into.covered_checks + m.covered_checks;
@@ -289,6 +295,7 @@ let rows (m : t) : (string * string) list =
         m.weakens m.gens );
     ( "merges",
       Printf.sprintf "%d (%.1f%% fast-path)" m.merges (ratio m.merge_fast m.merges) );
+    ("shared rows", Printf.sprintf "%d statement visits" m.shared_visits);
     ( "equality checks",
       Printf.sprintf "%d (%.1f%% fast-path)" m.equal_checks
         (ratio m.equal_fast m.equal_checks) );

@@ -13,6 +13,10 @@
 type t = {
   mutable merges : int;  (** {!Pts.merge} invocations *)
   mutable merge_fast : int;  (** answered by the subsumption pre-check *)
+  mutable shared_visits : int;
+      (** statement visits a shared row absorbed: the statement's input
+          is its representative's ({!Tenv.reps}), so its row is not
+          merged separately *)
   mutable equal_checks : int;
   mutable equal_fast : int;  (** decided by identity or cardinality *)
   mutable covered_checks : int;

@@ -25,7 +25,7 @@
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 6
+let version = 7
 
 let magic = "PTANC"
 
@@ -456,11 +456,11 @@ let r_map_info arr r : Ig.map_info =
 let w_metrics b (m : Metrics.t) =
   List.iter (w_u b)
     [
-      m.Metrics.merges; m.merge_fast; m.equal_checks; m.equal_fast; m.covered_checks;
-      m.covered_fast; m.assigns; m.kills; m.weakens; m.gens; m.loop_iters; m.rec_iters;
-      m.bodies; m.memo_lookups; m.memo_hits; m.map_calls; m.unmap_calls; m.call_reuses;
-      m.cache_hits; m.cache_misses; m.cache_quarantined; m.budget_trips; m.incr_funcs_dirty;
-      m.incr_funcs_reused;
+      m.Metrics.merges; m.merge_fast; m.shared_visits; m.equal_checks; m.equal_fast;
+      m.covered_checks; m.covered_fast; m.assigns; m.kills; m.weakens; m.gens; m.loop_iters;
+      m.rec_iters; m.bodies; m.memo_lookups; m.memo_hits; m.map_calls; m.unmap_calls;
+      m.call_reuses; m.cache_hits; m.cache_misses; m.cache_quarantined; m.budget_trips;
+      m.incr_funcs_dirty; m.incr_funcs_reused;
     ];
   List.iter (w_float b) [ m.t_map; m.t_unmap; m.t_analysis; m.t_serialize; m.t_deserialize ]
 
@@ -468,6 +468,7 @@ let r_metrics r : Metrics.t =
   let m = Metrics.create () in
   m.Metrics.merges <- r_u r;
   m.merge_fast <- r_u r;
+  m.shared_visits <- r_u r;
   m.equal_checks <- r_u r;
   m.equal_fast <- r_u r;
   m.covered_checks <- r_u r;

@@ -12,18 +12,11 @@ type t = {
   globals : (string, Ctype.t) Hashtbl.t;
   funcs : (string, Ir.func) Hashtbl.t;
   externals : (string, Ctype.func_sig) Hashtbl.t;
+  reps : (int, int) Hashtbl.t Lazy.t;
+      (** shared statement rows: each statement that always receives
+          another statement's input, as the same physical state, mapped
+          to that representative *)
 }
-
-let make ?(opts = Options.default) (prog : Ir.program) : t =
-  let globals = Hashtbl.create 64 in
-  List.iter (fun (n, ty) -> Hashtbl.replace globals n ty) prog.Ir.globals;
-  let funcs = Hashtbl.create 64 in
-  List.iter (fun f -> Hashtbl.replace funcs f.Ir.fn_name f) prog.Ir.funcs;
-  let externals = Hashtbl.create 16 in
-  List.iter
-    (fun (n, s) -> if not (Hashtbl.mem funcs n) then Hashtbl.replace externals n s)
-    prog.Ir.protos;
-  { prog; opts; globals; funcs; externals }
 
 let layouts t = t.prog.Ir.layouts
 
@@ -178,3 +171,77 @@ let cell_pointee t (ty : Ctype.t) : Ctype.t option =
             (fun (_, ft) -> match ft with Ctype.Ptr inner -> Some inner | _ -> None)
             lay.Ctype.fields)
   | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Shared statement rows                                              *)
+(* ------------------------------------------------------------------ *)
+
+(** Does the engine pass this statement's input state on unchanged
+    (physically)? A non-pointer assignment does, and so does a call to
+    an undefined function whose result, if any, is not a pointer. *)
+let transparent t fn (s : Ir.stmt) =
+  match s.Ir.s_desc with
+  | Ir.Sassign (lref, _) -> not (is_pointer_assignment t fn lref)
+  | Ir.Scall (lhs, Ir.Cdirect f, _) when not (is_defined_func t f) -> (
+      match lhs with None -> true | Some l -> not (is_pointer_assignment t fn l))
+  | Ir.Scall _ | Ir.Sif _ | Ir.Sloop _ | Ir.Sswitch _ | Ir.Sbreak | Ir.Scontinue
+  | Ir.Sreturn _ ->
+      false
+
+(* The representative map, one walk of the IR (docs/ARCHITECTURE.md,
+   shared statement rows). A statement shares its representative's input
+   when it follows a transparent statement in the same list, or opens a
+   branch of an [if] or the first group of a [switch] (both entered with
+   the statement's own input). Loop lists and later switch groups are
+   entered with merged states, so each starts its own chain. *)
+let reps_of t =
+  let reps = Hashtbl.create 256 in
+  let rec list fn entry stmts =
+    ignore
+      (List.fold_left
+         (fun rep (s : Ir.stmt) ->
+           let self =
+             match rep with
+             | Some r ->
+                 Hashtbl.replace reps s.Ir.s_id r;
+                 r
+             | None -> s.Ir.s_id
+           in
+           nested fn self s;
+           if transparent t fn s then Some self else None)
+         entry stmts)
+  and nested fn self (s : Ir.stmt) =
+    match s.Ir.s_desc with
+    | Ir.Sif (_, a, b) ->
+        list fn (Some self) a;
+        list fn (Some self) b
+    | Ir.Sloop l ->
+        list fn None l.Ir.l_cond_stmts;
+        list fn None l.Ir.l_body;
+        list fn None l.Ir.l_step
+    | Ir.Sswitch (_, groups) ->
+        List.iteri (fun i g -> list fn (if i = 0 then Some self else None) g.Ir.g_body) groups
+    | Ir.Sassign _ | Ir.Scall _ | Ir.Sbreak | Ir.Scontinue | Ir.Sreturn _ -> ()
+  in
+  List.iter (fun fn -> list fn None fn.Ir.fn_body) t.prog.Ir.funcs;
+  reps
+
+let make ?(opts = Options.default) (prog : Ir.program) : t =
+  let globals = Hashtbl.create 64 in
+  List.iter (fun (n, ty) -> Hashtbl.replace globals n ty) prog.Ir.globals;
+  let funcs = Hashtbl.create 64 in
+  List.iter (fun f -> Hashtbl.replace funcs f.Ir.fn_name f) prog.Ir.funcs;
+  let externals = Hashtbl.create 16 in
+  List.iter
+    (fun (n, s) -> if not (Hashtbl.mem funcs n) then Hashtbl.replace externals n s)
+    prog.Ir.protos;
+  let rec t = { prog; opts; globals; funcs; externals; reps = lazy (reps_of t) } in
+  t
+
+let expand_rows t (tbl : (int, 'a) Hashtbl.t) =
+  Hashtbl.iter
+    (fun sid rep ->
+      match Hashtbl.find_opt tbl rep with
+      | Some row -> Hashtbl.replace tbl sid row
+      | None -> ())
+    (Lazy.force t.reps)

@@ -11,6 +11,13 @@ type t = {
   globals : (string, Ctype.t) Hashtbl.t;
   funcs : (string, Ir.func) Hashtbl.t;
   externals : (string, Ctype.func_sig) Hashtbl.t;
+  reps : (int, int) Hashtbl.t Lazy.t;
+      (** shared statement rows: a statement that always receives
+          another statement's input, as the same physical state, maps to
+          that {e representative} (whose own id is absent). The engine
+          records only representatives' rows; {!expand_rows} binds the
+          rest. One walk of the IR, made when first forced: a result
+          loaded only to be queried never pays for it *)
 }
 
 val make : ?opts:Options.t -> Ir.program -> t
@@ -53,3 +60,8 @@ val pointer_cells : t -> Loc.t -> Ctype.t -> (Loc.t * Ctype.t) list
 (** Pointee type chased through a cell; unions use their first
     pointer-carrying field. *)
 val cell_pointee : t -> Ctype.t -> Ctype.t option
+
+(** Bind each shared statement's row in a per-statement table to its
+    representative's row, physically shared (statements whose
+    representative has no row stay absent). *)
+val expand_rows : t -> (int, 'a) Hashtbl.t -> unit

@@ -354,7 +354,7 @@ let check_flattens name (e : Engine.summary_entry) (res : Analysis.result) =
   Alcotest.(check (list (pair int string)))
     (name ^ ": flattened DAG = per-statement table")
     (stmt_pts_strings res)
-    (row_strings (Engine.flatten e))
+    (row_strings (Engine.flatten res.Analysis.tenv e))
 
 (** The corpus shapes (docs/CORPUS.md) at test size. *)
 let shapes =
@@ -403,8 +403,8 @@ let dag_tests =
                                 | Some l ->
                                     Alcotest.(check (list (pair int string)))
                                       (Fmt.str "%s: %s persisted = live" name fn)
-                                      (row_strings (Engine.flatten l))
-                                      (row_strings (Engine.flatten e)))
+                                      (row_strings (Engine.flatten r.Analysis.tenv l))
+                                      (row_strings (Engine.flatten r.Analysis.tenv e)))
                               es)
                           by_hash)
                       tbl;
@@ -520,12 +520,12 @@ let dag_tests =
         Alcotest.(check int) "replaying a applies a and d" 2 (Engine.apply_entry ctx ea);
         Alcotest.(check int) "replaying b then applies b alone" 1 (Engine.apply_entry ctx eb);
         Alcotest.(check int) "a second replay applies nothing" 0 (Engine.apply_entry ctx ea);
-        let expected = Engine.flatten ea in
+        let expected = Engine.flatten r.Analysis.tenv ea in
         Hashtbl.iter
           (fun sid s ->
             Hashtbl.replace expected sid
               (match Hashtbl.find_opt expected sid with Some o -> Pts.merge o s | None -> s))
-          (Engine.flatten eb);
+          (Engine.flatten r.Analysis.tenv eb);
         Alcotest.(check (list (pair int string)))
           "the replayed rows are a's and b's" (row_strings expected)
           (row_strings ctx.Engine.stmt_pts);
